@@ -27,6 +27,11 @@ cmake --build build -j
 # Serial on purpose: epcc_test asserts on measured timings, which parallel
 # test load can flip.
 (cd build && ctest --output-on-failure)
+# The §5B.1 create-per-region lifecycle lives only in this bench; running it
+# keeps that code path compiled and working.  Non-zero exit = a worker
+# launch or join failed.
+./build/bench/ablation_node_mgmt >/dev/null
+echo "node-lifecycle ablation: pool and per-region rows ran on both backends"
 
 echo "== [2/13] ThreadSanitizer, all suites =="
 # Race-check everything, not just the gomp hot paths: the MRAPI database,

@@ -353,6 +353,12 @@ void on_acquire(LockClass cls, const void* obj, std::uint64_t key_hint,
     // One edge from every currently-held lock to the new one.
     for (const HeldLock& h : ts.held) {
       if (h.node == held.node) continue;  // recursive re-acquire
+      // Slot pseudo-locks order nothing among themselves: a nested master
+      // claims whichever slot is free while holding its parent's, so two
+      // slots meet in both orders without any thread ever waiting on one.
+      if (h.cls == LockClass::kGompPool && cls == LockClass::kGompPool) {
+        continue;
+      }
       auto& out = g.edges[h.node];
       auto it = out.find(held.node);
       const bool new_edge = it == out.end();

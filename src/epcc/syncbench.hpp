@@ -93,6 +93,8 @@ struct RelativeOverhead {
 };
 
 /// Builds Table I from two runtimes measured under identical options.
+/// Each cell measures both runtimes five times, interleaved, and keeps each
+/// runtime's smallest overhead before taking the ratio.
 std::vector<RelativeOverhead> relative_overheads(
     gomp::Runtime* native, gomp::Runtime* mca,
     const std::vector<unsigned>& thread_counts,

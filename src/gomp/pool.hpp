@@ -1,11 +1,12 @@
 // Worker-thread pool with multiplexed (per-dispatch mailbox) team dispatch.
 //
-// kPersistent (default): workers are launched once through the backend and
-// parked between regions — what libGOMP does, and what keeps the EPCC
-// PARALLEL overhead sane.  kPerRegion: workers are launched at region entry
-// and joined at region exit — the literal lifecycle §5B.1 describes (node
-// created at fork, finalized at join).  bench/ablation_node_mgmt measures
-// the difference.
+// Workers are launched once through the backend and parked between regions
+// — what libGOMP does, and what keeps the EPCC PARALLEL overhead sane.
+// Every region, top-level or nested, dispatches through this one pool: a
+// nested master leases its workers exactly as a tenant master does.  The
+// literal lifecycle §5B.1 describes (node created at fork, finalized at
+// join) lives in bench/ablation_node_mgmt, which measures it against the
+// pool.
 //
 // Why multiplexed: the original pool had exactly one team slab, one ticket
 // doorbell and one join, so two application threads forking concurrently
@@ -47,8 +48,8 @@
 //    it replaces was silent cross-tenant slab corruption, which a
 //    debug-only assert cannot be trusted to catch in production.
 //
-// Under the MCA backend, either way every worker is an MRAPI node: the pool
-// calls SystemBackend::launch_thread, which routes to the Listing-2
+// Under the MCA backend every worker is an MRAPI node: the pool calls
+// SystemBackend::launch_thread, which routes to the Listing-2
 // mrapi_thread_create extension.  The worker-index bitmap doubles as the
 // node-id allocator, so concurrent masters can never collide on a node id.
 #pragma once
@@ -71,7 +72,8 @@
 
 namespace ompmca::gomp {
 
-enum class PoolMode { kPersistent, kPerRegion };
+/// Worker lifecycle: the pool's workers persist, parked between regions.
+enum class PoolMode { kPersistent };
 
 /// ClusterMemory over SystemBackend::allocate_on_cluster with a free-list
 /// cache: the hierarchical barrier allocates one ClusterTier per occupied
@@ -103,27 +105,17 @@ class ClusterSlabCache final : public ClusterMemory {
   std::map<void*, std::size_t> live_ OMPMCA_GUARDED_BY(mu_);
 };
 
-/// Launches worker @p index through @p backend with the fault-injection
-/// point and the bounded retry-with-backoff policy applied: transient
-/// launch failures (fault-injected or real resource exhaustion) are retried
-/// a few times with exponential backoff before the failure is surfaced.
-/// Shared by the pool's two launch loops and the nested-team path.
-Status launch_worker_with_retry(SystemBackend& backend, unsigned index,
-                                std::function<void()> fn);
-
 class ThreadPool {
  public:
-  /// Worker-lease capacity ceiling: the free set is one 64-bit bitmap, and
-  /// pool worker ids must stay clear of the nested-team id range (128+).
+  /// Worker-lease capacity ceiling: the free set is one 64-bit bitmap.
   static constexpr unsigned kMaxWorkers = 64;
   /// Concurrently in-flight regions; claims beyond this degrade to width 1.
   static constexpr unsigned kMaxSlots = 16;
 
   /// One master's handle on one in-flight region: the claimed dispatch
-  /// slot, the leased worker set, and (kPerRegion) the backend thread ids
-  /// to join.  Strictly prepare -> start_team -> wait_team; any other
-  /// sequence — including destruction mid-flight — is a hard protocol
-  /// violation that aborts in every build.
+  /// slot and the leased worker set.  Strictly prepare -> start_team ->
+  /// wait_team; any other sequence — including destruction mid-flight — is
+  /// a hard protocol violation that aborts in every build.
   class Dispatch {
    public:
     Dispatch() = default;
@@ -141,20 +133,19 @@ class ThreadPool {
     std::uint64_t lease_ = 0;   // leased worker-index bitmap
     unsigned width_ = 1;
     bool started_ = false;
-    std::vector<unsigned> per_region_;  // kPerRegion: worker ids to join
   };
 
-  ThreadPool(SystemBackend& backend, PoolMode mode,
+  ThreadPool(SystemBackend& backend,
              WaitPolicy wait_policy = WaitPolicy::kPassive,
              unsigned max_workers = kMaxWorkers);
   ~ThreadPool();
 
   /// Region entry, phase 1: claims a dispatch slot and leases up to
-  /// @p nthreads - 1 workers into @p d (persistent: parked on their
-  /// mailboxes; per-region: freshly launched), preferring
-  /// @p preferred_cluster and spilling least-loaded-first.  Returns the
-  /// width actually achievable: launch failures and lease pressure degrade
-  /// the team instead of blocking or indexing out of bounds later.
+  /// @p nthreads - 1 workers into @p d (parked on their mailboxes,
+  /// launched on first lease), preferring @p preferred_cluster and
+  /// spilling least-loaded-first.  Returns the width actually achievable:
+  /// launch failures and lease pressure degrade the team instead of
+  /// blocking or indexing out of bounds later.
   unsigned prepare(Dispatch& d, unsigned nthreads,
                    unsigned preferred_cluster = 0);
 
@@ -176,7 +167,6 @@ class ThreadPool {
   unsigned workers_launched() const {
     return workers_launched_.load(std::memory_order_relaxed);
   }
-  PoolMode mode() const { return mode_; }
 
   /// Installs the worker-index -> hardware-cluster map the lease policy
   /// scores candidates with (identity-cluster 0 for every worker until
@@ -198,13 +188,11 @@ class ThreadPool {
   // Mailbox layout: [seq:48][slot:8][tid:8].  The slot byte routes the
   // worker to its region's descriptor, the tid byte is its rank in that
   // team, and the globally unique seq makes every assignment distinct from
-  // whatever word the worker parked on (ABA guard).  kNoWorkSlot releases
-  // a per-region worker that ended up outside the team.
+  // whatever word the worker parked on (ABA guard).
   static constexpr unsigned kTidBits = 8;
   static constexpr unsigned kSlotBits = 8;
   static constexpr std::uint64_t kTidMask = (1u << kTidBits) - 1;
   static constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
-  static constexpr unsigned kNoWorkSlot = kSlotMask;
   static unsigned assign_tid(std::uint64_t a) {
     return static_cast<unsigned>(a & kTidMask);
   }
@@ -266,7 +254,7 @@ class ThreadPool {
   // bell is passed by reference (captured at launch) so workers never
   // index the bells_ array on the hot path.  A worker's pool index is
   // irrelevant inside the loop: its team rank arrives in the mailbox word.
-  void worker_loop(Bell& bell, std::uint64_t seen, bool one_shot);
+  void worker_loop(Bell& bell, std::uint64_t seen);
   void ring(Bell& bell);
 
   /// The monitor's stall probe (runs on the sampler thread): appends every
@@ -287,13 +275,11 @@ class ThreadPool {
   /// try_lease plus the bounded OMPMCA_LEASE_WAIT_NS wait-then-degrade.
   std::uint64_t lease_workers(unsigned wanted, unsigned preferred);
   void release_lease(std::uint64_t lease);
-  /// Persistent mode: makes sure every leased worker's thread exists,
-  /// dropping (and freeing) the ones whose launch failed.  Returns the
-  /// surviving lease.
+  /// Makes sure every leased worker's thread exists, dropping (and
+  /// freeing) the ones whose launch failed.  Returns the surviving lease.
   std::uint64_t ensure_launched(std::uint64_t lease);
 
   SystemBackend& backend_;
-  PoolMode mode_;
   WaitPolicy wait_policy_;
   // Spinning only pays when the peer can make progress on another core;
   // on a single-CPU host every pause is stolen from the thread being
@@ -316,9 +302,9 @@ class ThreadPool {
 
   // --- worker leasing ---------------------------------------------------------
   alignas(kCacheLineBytes) std::atomic<std::uint64_t> workers_free_;
-  // Persistent workers whose backend thread is running.  Launches are
-  // one-per-bit: only the bit's lease holder launches it, so the mask only
-  // grows and a relaxed read answers "already launched?".
+  // Workers whose backend thread is running.  Launches are one-per-bit:
+  // only the bit's lease holder launches it, so the mask only grows and a
+  // relaxed read answers "already launched?".
   std::atomic<std::uint64_t> launched_mask_{0};
   std::atomic<unsigned> workers_launched_{0};
   std::vector<std::unique_ptr<Bell>> bells_;      // fixed size max_workers_

@@ -154,8 +154,7 @@ Runtime::Runtime(RuntimeOptions opts)
   occupancy_ = std::make_unique<platform::ClusterOccupancy>(
       topo.num_clusters(), per_cluster);
   cluster_mem_ = std::make_unique<ClusterSlabCache>(*backend_);
-  pool_ = std::make_unique<ThreadPool>(*backend_, opts_.pool_mode,
-                                       icvs_.wait_policy,
+  pool_ = std::make_unique<ThreadPool>(*backend_, icvs_.wait_policy,
                                        opts_.pool_max_workers);
   // Masters write their dispatch slots every fork; home the slot bank in
   // the primary master's cluster — placement(0) under either policy.
@@ -168,9 +167,6 @@ Runtime::Runtime(RuntimeOptions opts)
     worker_clusters[i] = topo.cluster_of_hw_thread(topo.placement(i + 1));
   }
   pool_->set_worker_clusters(std::move(worker_clusters), topo.num_clusters());
-  // Nested teams draw worker ids from a high range so they never collide
-  // with pool workers (pool ids are 0..thread_limit-1 in practice).
-  for (unsigned id = 255; id >= 128; --id) free_nested_ids_.push_back(id);
 }
 
 Runtime::~Runtime() {
@@ -277,9 +273,12 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
   // Marks this runtime busy for the whole region, so gomp_compat_reset()
   // can refuse to destroy it out from under a live team.
   RegionInFlight in_flight(regions_in_flight_);
-  unsigned n = resolve_num_threads(num_threads);
   ParallelContext* outer = current();
   const bool nested = outer != nullptr;
+  // A nested region serializes unless nest-var is set.
+  unsigned n = nested && !env_icvs().nested
+                   ? 1
+                   : resolve_num_threads(num_threads);
   region_span.set_args(n, nested ? 1 : 0);
 
   if (n == 1) {
@@ -293,87 +292,31 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
     return;
   }
 
-  if (!nested) {
-    // Launch-or-park workers first: the returned width reflects launch
-    // failures *and* lease pressure from concurrent masters, so the team
-    // (and its barrier) never waits on a thread that does not exist.  The
-    // Dispatch handle is this master's claim on its slot + lease; other
-    // application threads fork through their own handles concurrently.
-    const unsigned requested = n;
-    const bool meter = obs::enabled();
-    const std::uint64_t fork_t0 = meter ? monotonic_nanos() : 0;
-    ThreadPool::Dispatch dispatch;
-    n = pool_->prepare(dispatch, n,
-                       preferred_cluster_of_master(opts_.topology));
-    Team team(*this, n, nullptr);
-    auto thread_fn = [&team, body](unsigned tid) {
-      team.run_thread(tid, body);
-    };
-    pool_->start_team(dispatch, n, thread_fn);
-    if (meter) {
-      // Tenant attribution: prepare-to-ring latency and whether lease
-      // pressure or launch failures narrowed this master's team.
-      obs::tenant::on_region(monotonic_nanos() - fork_t0, n < requested);
-    }
-    thread_fn(0);
-    pool_->wait_team(dispatch);
-    team.finish();
-    return;
-  }
-
-  // Nested region.  Serialized unless nest-var is set; otherwise a fresh
-  // per-region team with worker ids from the reserved range (bounded, so
-  // the width is clamped to what is available).
-  std::vector<unsigned> ids;
-  if (env_icvs().nested && n > 1) {
-    MutexLock lk(nested_ids_mu_);
-    while (ids.size() < n - 1 && !free_nested_ids_.empty()) {
-      ids.push_back(free_nested_ids_.back());
-      free_nested_ids_.pop_back();
-    }
-  }
-  // Launch the workers before sizing the team: each parks on a gate until
-  // the Team — sized to the launches that actually succeeded — is armed, so
-  // a launch failure shrinks the team instead of deadlocking its barrier on
-  // a member that never existed.
-  TeamLaunchGate gate;
-  std::vector<unsigned> launched;
-  std::vector<unsigned> failed;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const unsigned tid = static_cast<unsigned>(launched.size()) + 1;
-    Status s = launch_worker_with_retry(
-        *backend_, ids[i], [&gate, tid] { gate.worker_main(tid); });
-    if (ok(s)) {
-      launched.push_back(ids[i]);
-    } else {
-      OMPMCA_LOG_ERROR("nested team: launch failed (%u), degrading width",
-                       ids[i]);
-      obs::count(obs::Counter::kGompTeamDegraded);
-      failed.push_back(ids[i]);
-    }
-  }
-  if (!failed.empty()) {
-    // Unlaunched ids go back into circulation immediately: no worker
-    // exists to hold them, and parking them until region end would starve
-    // sibling nested regions of width for the whole (possibly long)
-    // region.
-    MutexLock lk(nested_ids_mu_);
-    for (unsigned id : failed) free_nested_ids_.push_back(id);
-  }
-  n = static_cast<unsigned>(launched.size()) + 1;
-
+  // Launch-or-park workers first: the returned width reflects launch
+  // failures *and* lease pressure from concurrent masters, so the team (and
+  // its barrier) never waits on a thread that does not exist.  The Dispatch
+  // handle is this master's claim on its slot + lease; other application
+  // threads — and nested masters inside running teams — fork through their
+  // own handles concurrently.  A nested master prefers its own cluster's
+  // workers, the cluster its bubble placement prefers too.
+  const unsigned requested = n;
+  const bool meter = obs::enabled() && !nested;
+  const std::uint64_t fork_t0 = meter ? monotonic_nanos() : 0;
+  const unsigned preferred =
+      nested ? outer->team().cluster_of_thread(outer->thread_num())
+             : preferred_cluster_of_master(opts_.topology);
+  ThreadPool::Dispatch dispatch;
+  n = pool_->prepare(dispatch, n, preferred);
   Team team(*this, n, outer);
-  auto thread_fn = [&team, body](unsigned tid) {
-    team.run_thread(tid, body);
-  };
-  gate.arm([&team, body](unsigned tid) { team.run_thread(tid, body); });
-  thread_fn(0);
-  // Every id in `launched` did launch; join cannot meaningfully fail.
-  for (unsigned id : launched) (void)backend_->join_thread(id);
-  {
-    MutexLock lk(nested_ids_mu_);
-    for (unsigned id : launched) free_nested_ids_.push_back(id);
+  auto thread_fn = [&team, body](unsigned tid) { team.run_thread(tid, body); };
+  pool_->start_team(dispatch, n, thread_fn);
+  if (meter) {
+    // Tenant attribution: prepare-to-ring latency and whether lease
+    // pressure or launch failures narrowed this master's team.
+    obs::tenant::on_region(monotonic_nanos() - fork_t0, n < requested);
   }
+  thread_fn(0);
+  pool_->wait_team(dispatch);
   team.finish();
 }
 

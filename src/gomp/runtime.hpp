@@ -41,6 +41,8 @@ struct RuntimeOptions {
   /// least-loaded) instead of scattering it board-wide.
   /// OMPMCA_NESTED_PLACEMENT=flat|bubble overrides.
   bool nested_bubble = true;
+  /// Read by nothing: the pool has one worker lifecycle.  Kept because
+  /// perfbench/workloads.cpp still assigns it.
   PoolMode pool_mode = PoolMode::kPersistent;
   /// Worker-lease capacity of the pool (clamped to ThreadPool::kMaxWorkers).
   /// Small caps make lease pressure deterministic — the concurrent-masters
@@ -154,9 +156,6 @@ class Runtime {
   CapMutex critical_mu_;
   std::map<std::string, std::unique_ptr<BackendMutex>> criticals_
       OMPMCA_GUARDED_BY(critical_mu_);
-
-  CapMutex nested_ids_mu_;
-  std::vector<unsigned> free_nested_ids_ OMPMCA_GUARDED_BY(nested_ids_mu_);
 
   /// The calling thread's meter slot for this runtime (Team::finish writes
   /// the finished region's meters here).

@@ -68,34 +68,6 @@ class AdoptedBackendLock {
 
 }  // namespace
 
-void TeamLaunchGate::worker_main(unsigned tid) {
-  std::function<void(unsigned)> fn;
-  {
-    MutexLock lk(mu_);
-    lk.wait(cv_, [this]() OMPMCA_REQUIRES(mu_) { return ready_ || abandoned_; });
-    if (abandoned_) return;
-    fn = fn_;  // copy: run outside the lock, peers run concurrently
-  }
-  fn(tid);
-}
-
-void TeamLaunchGate::arm(std::function<void(unsigned)> fn) {
-  {
-    MutexLock lk(mu_);
-    fn_ = std::move(fn);
-    ready_ = true;
-  }
-  cv_.notify_all();
-}
-
-void TeamLaunchGate::abandon() {
-  {
-    MutexLock lk(mu_);
-    abandoned_ = true;
-  }
-  cv_.notify_all();
-}
-
 Team::Team(Runtime& rt, unsigned nthreads, ParallelContext* parent_ctx)
     : rt_(rt),
       nthreads_(nthreads),
@@ -179,11 +151,10 @@ void Team::run_thread(unsigned tid, FunctionRef<void(ParallelContext&)> body) {
   // the implicit barrier): each spawner drains until the task system is
   // quiescent, and the master cannot pass the join until every thread's
   // drain returned.  The thread rendezvous itself is the fork/join join —
-  // the pool's active_ count, or the thread join for nested/per-region
-  // teams.  Workers have nothing to execute after the region, so they
-  // signal arrival and park instead of sleeping through a full barrier
-  // release broadcast first; the release is observable only by the master,
-  // and the join gives it exactly that.
+  // the dispatch slot's active count.  Workers have nothing to execute
+  // after the region, so they signal arrival and park instead of sleeping
+  // through a full barrier release broadcast first; the release is
+  // observable only by the master, and the join gives it exactly that.
   tasks_.drain(tid, &ctx.current_task_);
   rt_.swap_env_override(saved_env);
   Runtime::t_current_ = saved;

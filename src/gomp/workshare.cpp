@@ -243,8 +243,11 @@ void LoopInstance::leave() {
   // Lock-free for all but the last leaver (one fetch_add); the acq_rel RMW
   // chain makes every leaver's loop reads happen-before the last leaver's
   // reset, which flips configured_ under init_mu_ so a drain-waiter in
-  // enter() observes it consistently.
-  if (left_.fetch_add(1, std::memory_order_acq_rel) + 1 == participants_) {
+  // enter() observes it consistently.  participants_ is read before the
+  // RMW: once this thread has counted itself out, the last leaver may hand
+  // the slot to the next loop, whose enter() rewrites it.
+  const unsigned participants = participants_;
+  if (left_.fetch_add(1, std::memory_order_acq_rel) + 1 == participants) {
     {
       MutexLock lk(init_mu_);
       configured_ = false;

@@ -106,7 +106,6 @@ std::string_view name(Hist h) {
       return "gomp.barrier_wait.dissemination_ns";
     case Hist::kGompBarrierWaitHierarchicalNs:
       return "gomp.barrier_wait.hierarchical_ns";
-    case Hist::kGompPoolDispatchNs: return "gomp.pool_dispatch_ns";
     case Hist::kGompDoorbellWakeNs: return "gomp.doorbell_wake_ns";
     case Hist::kGompLeaseWaitNs: return "gomp.lease_wait_ns";
     case Hist::kMrapiMutexAcquireNs: return "mrapi.mutex_acquire_ns";

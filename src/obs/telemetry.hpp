@@ -108,7 +108,6 @@ enum class Hist : unsigned {
   kGompBarrierWaitTreeNs,
   kGompBarrierWaitDisseminationNs,
   kGompBarrierWaitHierarchicalNs,
-  kGompPoolDispatchNs,
   kGompDoorbellWakeNs,  // doorbell ring -> worker starts the region body
   kGompLeaseWaitNs,     // time a master waited for contended worker leases
   kMrapiMutexAcquireNs,

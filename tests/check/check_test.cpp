@@ -208,6 +208,33 @@ TEST_F(CheckTest, HeldCountExcludesPoolPseudoLock) {
   EXPECT_EQ(held_count(), 0u);
 }
 
+TEST_F(CheckTest, PoolSlotsNeverInvertEachOther) {
+  // Nested masters take dispatch slots in whatever order they free up.
+  int slot_a = 0;
+  int slot_b = 0;
+  int m = 0;
+  on_acquire(LockClass::kGompPool, &slot_a, 0, "t:outer-a");
+  on_acquire(LockClass::kGompPool, &slot_b, 0, "t:nested-b");
+  on_release(LockClass::kGompPool, &slot_b);
+  on_release(LockClass::kGompPool, &slot_a);
+  on_acquire(LockClass::kGompPool, &slot_b, 0, "t:outer-b");
+  on_acquire(LockClass::kGompPool, &slot_a, 0, "t:nested-a");
+  on_release(LockClass::kGompPool, &slot_a);
+  on_release(LockClass::kGompPool, &slot_b);
+  EXPECT_EQ(violation_count(), 0u);
+
+  // A slot still orders against real locks.
+  on_acquire(LockClass::kGompPool, &slot_a, 0, "t:slot");
+  on_acquire(LockClass::kMrapiMutex, &m, 1, "t:m");
+  on_release(LockClass::kMrapiMutex, &m);
+  on_release(LockClass::kGompPool, &slot_a);
+  on_acquire(LockClass::kMrapiMutex, &m, 1, "t:m2");
+  on_acquire(LockClass::kGompPool, &slot_a, 0, "t:slot2");
+  on_release(LockClass::kGompPool, &slot_a);
+  on_release(LockClass::kMrapiMutex, &m);
+  EXPECT_EQ(reports_of(ViolationKind::kLockOrderInversion), 1u);
+}
+
 // --- direct-API: gomp usage ---------------------------------------------------
 
 TEST_F(CheckTest, BarrierNestingStateMachine) {

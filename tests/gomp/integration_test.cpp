@@ -10,10 +10,9 @@
 namespace ompmca::gomp {
 namespace {
 
-Runtime make_mca_runtime(unsigned threads, PoolMode mode) {
+Runtime make_mca_runtime(unsigned threads) {
   RuntimeOptions opts;
   opts.backend = BackendKind::kMca;
-  opts.pool_mode = mode;
   Icvs icvs;
   icvs.num_threads = threads;
   opts.icvs = icvs;
@@ -28,7 +27,7 @@ std::size_t domain_node_count() {
 TEST(McaIntegration, PersistentPoolKeepsWorkerNodesRegistered) {
   std::size_t before = domain_node_count();
   {
-    Runtime rt = make_mca_runtime(4, PoolMode::kPersistent);
+    Runtime rt = make_mca_runtime(4);
     // +1: the runtime's master node.
     EXPECT_EQ(domain_node_count(), before + 1);
     rt.parallel([](ParallelContext&) {});
@@ -41,30 +40,12 @@ TEST(McaIntegration, PersistentPoolKeepsWorkerNodesRegistered) {
   EXPECT_EQ(domain_node_count(), before);
 }
 
-TEST(McaIntegration, PerRegionModeRegistersAndRetiresPerRegion) {
-  std::size_t before = domain_node_count();
-  {
-    Runtime rt = make_mca_runtime(4, PoolMode::kPerRegion);
-    std::atomic<std::size_t> inside{0};
-    rt.parallel([&](ParallelContext& ctx) {
-      ctx.master([&] { inside.store(domain_node_count()); });
-      ctx.barrier();
-    });
-    // During the region: master + 3 per-region worker nodes (§5B.1's
-    // literal lifecycle).
-    EXPECT_EQ(inside.load(), before + 4);
-    // After the join the workers' nodes are finalized.
-    EXPECT_EQ(domain_node_count(), before + 1);
-  }
-  EXPECT_EQ(domain_node_count(), before);
-}
-
 TEST(McaIntegration, RuntimeAllocationsAreInvisibleAfterTeardown) {
   auto d = mrapi::Database::instance().domain(0);
   ASSERT_TRUE(d.has_value());
   std::size_t arena_before = (*d)->arena().used();
   {
-    Runtime rt = make_mca_runtime(4, PoolMode::kPersistent);
+    Runtime rt = make_mca_runtime(4);
     long sink = 0;
     rt.parallel([&](ParallelContext& ctx) {
       ctx.critical([&] { ++sink; });  // forces an MRAPI mutex creation
@@ -77,7 +58,7 @@ TEST(McaIntegration, RuntimeAllocationsAreInvisibleAfterTeardown) {
 }
 
 TEST(McaIntegration, MasterNodeUsableForApplicationResources) {
-  Runtime rt = make_mca_runtime(2, PoolMode::kPersistent);
+  Runtime rt = make_mca_runtime(2);
   auto* mca = dynamic_cast<McaBackend*>(&rt.backend());
   ASSERT_NE(mca, nullptr);
   // Applications can share the runtime's domain for their own MRAPI use.

@@ -331,17 +331,6 @@ TEST_P(RuntimeBackendTest, MetersAccumulatePerThread) {
   }
 }
 
-TEST_P(RuntimeBackendTest, PerRegionPoolModeWorks) {
-  auto opts = options_for(GetParam(), 4);
-  opts.pool_mode = PoolMode::kPerRegion;
-  Runtime rt(opts);
-  for (int r = 0; r < 5; ++r) {
-    std::atomic<int> count{0};
-    rt.parallel([&](ParallelContext&) { count.fetch_add(1); });
-    ASSERT_EQ(count.load(), 4);
-  }
-}
-
 TEST_P(RuntimeBackendTest, AllBarrierAlgorithmsWorkEndToEnd) {
   for (BarrierKind kind :
        {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kDissemination,
@@ -460,6 +449,114 @@ TEST_P(RuntimeBackendTest, NestedPlacementFlatKnobDisablesBubbles) {
   EXPECT_EQ(bubbled.load(), 0);
 }
 
+/// Either real backend behind a launch_thread probe: counts every launch
+/// and, while @p fail is set, refuses them.
+class LaunchProbeBackend final : public SystemBackend {
+ public:
+  LaunchProbeBackend(BackendKind kind,
+                     std::shared_ptr<std::atomic<unsigned>> launches,
+                     std::shared_ptr<std::atomic<bool>> fail)
+      : launches_(std::move(launches)), fail_(std::move(fail)) {
+    const platform::Topology topo = platform::Topology::t4240rdb();
+    if (kind == BackendKind::kMca) {
+      mrapi::Database::instance().configure_platform(topo);
+      inner_ = std::make_unique<McaBackend>(0);
+    } else {
+      inner_ = std::make_unique<NativeBackend>(topo);
+    }
+  }
+
+  std::string_view name() const override { return "launch-probe"; }
+  Status launch_thread(unsigned index, std::function<void()> fn) override {
+    launches_->fetch_add(1);
+    if (fail_->load()) return Status::kOutOfResources;
+    return inner_->launch_thread(index, std::move(fn));
+  }
+  Status join_thread(unsigned index) override {
+    return inner_->join_thread(index);
+  }
+  void* allocate(std::size_t bytes) override {
+    return inner_->allocate(bytes);
+  }
+  void deallocate(void* p) override { inner_->deallocate(p); }
+  void* allocate_on_cluster(std::size_t bytes, unsigned cluster) override {
+    return inner_->allocate_on_cluster(bytes, cluster);
+  }
+  std::unique_ptr<BackendMutex> create_mutex() override {
+    return inner_->create_mutex();
+  }
+  unsigned num_procs() override { return inner_->num_procs(); }
+
+ private:
+  std::shared_ptr<std::atomic<unsigned>> launches_;
+  std::shared_ptr<std::atomic<bool>> fail_;
+  std::unique_ptr<SystemBackend> inner_;
+};
+
+RuntimeOptions probed_nested_options(
+    BackendKind kind, unsigned threads, unsigned pool_workers,
+    std::shared_ptr<std::atomic<unsigned>> launches,
+    std::shared_ptr<std::atomic<bool>> fail) {
+  RuntimeOptions opts = options_for(kind, threads);
+  opts.icvs->nested = true;
+  opts.icvs->max_active_levels = 2;
+  opts.pool_max_workers = pool_workers;
+  opts.backend_factory = [kind, launches, fail] {
+    return std::make_unique<LaunchProbeBackend>(kind, launches, fail);
+  };
+  return opts;
+}
+
+TEST_P(RuntimeBackendTest, NestedTeamsLeaseFromThePool) {
+  // Nested masters lease parked pool workers like any master: 50 outer
+  // width-3 regions, each thread opening a width-2 nested one, need at
+  // most 2 + 3 workers at once, so a 6-worker pool launches each thread
+  // once instead of once per nested worker per region.
+  auto launches = std::make_shared<std::atomic<unsigned>>(0);
+  auto fail = std::make_shared<std::atomic<bool>>(false);
+  Runtime rt(probed_nested_options(GetParam(), 3, 6, launches, fail));
+  std::atomic<int> teams{0}, narrow{0};
+  for (int r = 0; r < 50; ++r) {
+    rt.parallel([&](ParallelContext& ctx) {
+      ctx.runtime().parallel(
+          [&](ParallelContext& inner) {
+            if (inner.thread_num() != 0) return;
+            teams.fetch_add(1);
+            if (inner.num_threads() != 2) narrow.fetch_add(1);
+          },
+          2);
+    });
+  }
+  EXPECT_EQ(teams.load(), 150);
+  EXPECT_EQ(narrow.load(), 0);
+  EXPECT_LE(launches->load(), 6u);
+}
+
+TEST_P(RuntimeBackendTest, NestedLaunchFailureReturnsLeaseImmediately) {
+  // A 3-worker pool: the width-2 outer team holds one worker, leaving
+  // exactly the two a width-3 nested team needs.
+  auto launches = std::make_shared<std::atomic<unsigned>>(0);
+  auto fail = std::make_shared<std::atomic<bool>>(false);
+  Runtime rt(probed_nested_options(GetParam(), 2, 3, launches, fail));
+  rt.parallel([&](ParallelContext& ctx) {
+    if (ctx.thread_num() != 0) return;
+    // The outer team's worker already runs, so every launch attempted
+    // while failing is of a pool index the outer team does not use.  The
+    // nested team degrades to width 1 instead of waiting on workers that
+    // do not exist.
+    fail->store(true);
+    std::atomic<int> first{0};
+    rt.parallel([&](ParallelContext&) { first.fetch_add(1); }, 3);
+    EXPECT_EQ(first.load(), 1);
+    fail->store(false);
+    // Still inside the same outer region: the failed launches returned
+    // their lease bits, so a sibling nested team gets its full width.
+    std::atomic<int> second{0};
+    rt.parallel([&](ParallelContext&) { second.fetch_add(1); }, 3);
+    EXPECT_EQ(second.load(), 3);
+  });
+}
+
 TEST_P(RuntimeBackendTest, ThreadNumsAreDistinct) {
   auto rt = make_runtime(8);
   std::mutex mu;
@@ -509,64 +606,6 @@ TEST(Runtime, ResolveNumThreadsClamps) {
   EXPECT_EQ(rt.resolve_num_threads(0), 8u);
   EXPECT_EQ(rt.resolve_num_threads(5), 5u);
   EXPECT_EQ(rt.resolve_num_threads(100), 16u);
-}
-
-/// Native backend whose nested-range (id >= 128) launches fail on demand:
-/// the probe for nested-id reclamation after launch failure.
-class NestedLaunchFailBackend final : public SystemBackend {
- public:
-  explicit NestedLaunchFailBackend(std::shared_ptr<std::atomic<bool>> fail)
-      : fail_(std::move(fail)), inner_(platform::Topology::t4240rdb()) {}
-
-  std::string_view name() const override { return "nested-launch-fail"; }
-  Status launch_thread(unsigned index, std::function<void()> fn) override {
-    if (index >= 128 && fail_->load()) return Status::kOutOfResources;
-    return inner_.launch_thread(index, std::move(fn));
-  }
-  Status join_thread(unsigned index) override {
-    return inner_.join_thread(index);
-  }
-  void* allocate(std::size_t bytes) override { return inner_.allocate(bytes); }
-  void deallocate(void* p) override { inner_.deallocate(p); }
-  std::unique_ptr<BackendMutex> create_mutex() override {
-    return inner_.create_mutex();
-  }
-  unsigned num_procs() override { return inner_.num_procs(); }
-
- private:
-  std::shared_ptr<std::atomic<bool>> fail_;
-  NativeBackend inner_;
-};
-
-TEST(Runtime, NestedIdsReclaimedImmediatelyOnLaunchFailure) {
-  auto fail = std::make_shared<std::atomic<bool>>(false);
-  RuntimeOptions opts;
-  Icvs icvs;
-  icvs.num_threads = 2;
-  icvs.nested = true;
-  icvs.max_active_levels = 2;
-  opts.icvs = icvs;
-  opts.backend_factory = [fail] {
-    return std::make_unique<NestedLaunchFailBackend>(fail);
-  };
-  Runtime rt(opts);
-
-  rt.parallel([&](ParallelContext& ctx) {
-    if (ctx.thread_num() != 0) return;
-    // Drain the whole nested-id range (128 ids) into launches that all
-    // fail: the region serializes, and every reserved id must go straight
-    // back into circulation — not sit parked until this outer region ends.
-    fail->store(true);
-    std::atomic<int> first{0};
-    rt.parallel([&](ParallelContext&) { first.fetch_add(1); }, 200);
-    EXPECT_EQ(first.load(), 1);
-    fail->store(false);
-    // Still inside the same outer region: a sibling nested team must find
-    // the ids free again and get its full width.
-    std::atomic<int> second{0};
-    rt.parallel([&](ParallelContext&) { second.fetch_add(1); }, 3);
-    EXPECT_EQ(second.load(), 3);
-  });
 }
 
 TEST(Runtime, TwoRuntimesSideBySide) {

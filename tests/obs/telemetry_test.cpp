@@ -198,7 +198,7 @@ TEST(Telemetry, RuntimeDirectivesAreObserved) {
             s.counter(Counter::kGompBarrier));
   // Three pool workers were handed the region.
   EXPECT_EQ(s.counter(Counter::kGompPoolDispatch), 3u);
-  EXPECT_EQ(s.hist(Hist::kGompPoolDispatchNs).count, 3u);
+  EXPECT_EQ(s.hist(Hist::kGompDoorbellWakeNs).count, 3u);
 }
 
 TEST(Telemetry, HierarchicalBarrierCrossesCoreNetOncePerCluster) {
