@@ -14,6 +14,8 @@
 #                       10. placement artifact diff (informational)
 #                       11. thread-safety analysis build + ompmca-lint
 #                       12. serverbench artifact diff (informational)
+#                       13. live monitor validation
+#                       14. fork/join vs host libgomp (informational)
 #
 # Mirrors ROADMAP.md's tier-1 verify line, with -Werror on so new
 # warnings fail the build instead of rotting.
@@ -21,7 +23,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== [1/13] normal build + ctest =="
+echo "== [1/14] normal build + ctest =="
 cmake -B build -S . -DOMPMCA_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 cmake --build build -j
 # Serial on purpose: epcc_test asserts on measured timings, which parallel
@@ -33,7 +35,7 @@ cmake --build build -j
 ./build/bench/ablation_node_mgmt >/dev/null
 echo "node-lifecycle ablation: pool and per-region rows ran on both backends"
 
-echo "== [2/13] ThreadSanitizer, all suites =="
+echo "== [2/14] ThreadSanitizer, all suites =="
 # Race-check everything, not just the gomp hot paths: the MRAPI database,
 # arena and DMA engine carry their own lock-free fast paths.
 cmake -B build-tsan -S . -DOMPMCA_WERROR=ON -DOMPMCA_TSAN=ON
@@ -49,12 +51,12 @@ cmake --build build-tsan -j
 ./build-tsan/bench/ablation_barriers --quick --kind=hier >/dev/null
 echo "hierarchical barrier ablation: clean under TSan"
 
-echo "== [3/13] ASan+UBSan, all suites =="
+echo "== [3/14] ASan+UBSan, all suites =="
 cmake -B build-asan -S . -DOMPMCA_WERROR=ON -DOMPMCA_ASAN=ON
 cmake --build build-asan -j
 (cd build-asan && ctest --output-on-failure -E '^epcc_test$')
 
-echo "== [4/13] correctness checker (OMPMCA_CHECK=ON), all suites =="
+echo "== [4/14] correctness checker (OMPMCA_CHECK=ON), all suites =="
 # The check build compiles the lockdep/lifecycle/usage hooks in; check_test
 # seeds violations and asserts the reports, the rest of the suite doubles
 # as a no-false-positives audit.
@@ -65,7 +67,7 @@ cmake --build build-check -j
 OMPMCA_CHECK_ABORT=1 ./build-check/bench/ablation_barriers --quick --kind=hier >/dev/null
 echo "hierarchical barrier ablation: clean under checker"
 
-echo "== [5/13] fault injection (OMPMCA_FAULT=ON + OMPMCA_CHECK=ON), all suites =="
+echo "== [5/14] fault injection (OMPMCA_FAULT=ON + OMPMCA_CHECK=ON), all suites =="
 # Compiles the injection points and recovery policies in and runs the whole
 # suite, including the fixed-seed chaos tests in tests/fault/ (which skip in
 # every other build).  The checker rides along so injected failures cannot
@@ -74,7 +76,7 @@ cmake -B build-fault -S . -DOMPMCA_WERROR=ON -DOMPMCA_FAULT=ON -DOMPMCA_CHECK=ON
 cmake --build build-fault -j
 (cd build-fault && ctest --output-on-failure)
 
-echo "== [6/13] clang-tidy =="
+echo "== [6/14] clang-tidy =="
 if command -v clang-tidy >/dev/null 2>&1; then
   # Uses .clang-tidy at the repo root and the compile database from step 1.
   find src -name '*.cpp' -print | xargs clang-tidy -p build --quiet
@@ -82,7 +84,7 @@ else
   echo "clang-tidy not installed; skipping lint step"
 fi
 
-echo "== [7/13] EPCC artifact diff (informational) =="
+echo "== [7/14] EPCC artifact diff (informational) =="
 if command -v python3 >/dev/null 2>&1; then
   python3 bench/diff_artifacts.py \
     bench/artifacts/epcc_before.json bench/artifacts/epcc_after.json || true
@@ -90,7 +92,7 @@ else
   echo "python3 not installed; skipping artifact diff"
 fi
 
-echo "== [8/13] flight-recorder trace export =="
+echo "== [8/14] flight-recorder trace export =="
 # Runs the EPCC bench with tracing armed and validates the exported Chrome
 # trace JSON strictly (json.tool); the analyzer pass is informational.  The
 # bench's own PASS/FAIL is timing-sensitive on loaded CI hosts, so only the
@@ -105,7 +107,7 @@ else
   echo "python3 not installed; skipping trace validation"
 fi
 
-echo "== [9/13] taskbench artifact diff (informational) =="
+echo "== [9/14] taskbench artifact diff (informational) =="
 # Runs the task-subsystem bench and diffs its overhead artifact against the
 # committed reference.  The run itself is tolerated to fail (its in-bench
 # band checks are timing-sensitive on loaded CI hosts); the artifact must
@@ -119,7 +121,7 @@ else
   echo "python3 not installed; skipping taskbench artifact diff"
 fi
 
-echo "== [10/13] placement artifact diff (informational) =="
+echo "== [10/14] placement artifact diff (informational) =="
 # Regenerates the flat-vs-hier placement artifacts (modeled numbers plus a
 # runtime locality witness) and diffs them against the committed pair.  The
 # bench's PASS/FAIL gates the run; the cross-artifact diff is informational.
@@ -132,7 +134,7 @@ else
   echo "python3 not installed; skipping placement artifact diff"
 fi
 
-echo "== [11/13] thread-safety analysis build + ompmca-lint =="
+echo "== [11/14] thread-safety analysis build + ompmca-lint =="
 # The lock structure carries Clang Thread Safety annotations
 # (src/common/annotations.hpp); a clang build with -DOMPMCA_TSA=ON turns
 # -Wthread-safety into errors (-Wthread-safety-negative stays
@@ -157,7 +159,7 @@ else
   echo "python3 not installed; skipping ompmca-lint"
 fi
 
-echo "== [12/13] serverbench artifact diff (informational) =="
+echo "== [12/14] serverbench artifact diff (informational) =="
 # Runs the multi-tenant dispatch bench (N masters bursting small regions
 # through one runtime) and diffs its latency/throughput curve against the
 # committed reference.  The run's own PASS/FAIL is tolerated (its telemetry
@@ -172,7 +174,7 @@ else
   echo "python3 not installed; skipping serverbench artifact diff"
 fi
 
-echo "== [13/13] live monitor: sustained serverbench + format validation =="
+echo "== [13/14] live monitor: sustained serverbench + format validation =="
 # Short sustained serverbench with the live monitor armed: the artifact and
 # every JSONL line must parse, and a prom-format run must produce
 # well-formed text exposition (TYPE'd families, name{labels} value lines).
@@ -210,6 +212,16 @@ print("monitor prom exposition: lint clean")
 EOF
 else
   echo "python3 not installed; skipping live-monitor validation"
+fi
+
+echo "== [14/14] fork/join vs host libgomp (informational) =="
+# Empty-region and barrier p50 at widths 2 and 4 for ulibgomp (native and
+# MCA backends) next to the host's libgomp, all under active wait.  Absent
+# when the compiler has no OpenMP; the numbers never gate the run.
+if [ -x ./build/bench/fork_vs_libgomp ]; then
+  ./build/bench/fork_vs_libgomp --quick || true
+else
+  echo "fork_vs_libgomp not built (no compiler OpenMP); skipping"
 fi
 
 echo "ci.sh: all passes complete"

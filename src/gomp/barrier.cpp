@@ -55,8 +55,6 @@ BarrierKind effective_barrier_kind(BarrierKind kind, WaitPolicy policy) {
   return effective_barrier_kind(kind, policy, /*clusters_spanned=*/1);
 }
 
-namespace {
-
 unsigned clusters_spanned_by(const unsigned* cluster_of_thread,
                              unsigned nthreads) {
   if (cluster_of_thread == nullptr || nthreads == 0) return 1;
@@ -73,8 +71,6 @@ unsigned clusters_spanned_by(const unsigned* cluster_of_thread,
   }
   return spanned;
 }
-
-}  // namespace
 
 std::unique_ptr<TeamBarrier> make_barrier(BarrierKind kind, unsigned nthreads,
                                           WaitPolicy policy,

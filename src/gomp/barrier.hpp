@@ -73,6 +73,11 @@ class ClusterMemory {
   virtual void release(unsigned cluster, void* p) = 0;
 };
 
+/// Distinct clusters among the @p nthreads entries of @p cluster_of_thread
+/// (1 when it is nullptr): the topology input of effective_barrier_kind.
+unsigned clusters_spanned_by(const unsigned* cluster_of_thread,
+                             unsigned nthreads);
+
 /// The algorithm make_barrier actually instantiates for a request.
 /// (kDissemination, kPassive) falls back to kTree (see above);
 /// @p clusters_spanned resolves the topology-dependent kinds: kAuto picks

@@ -552,7 +552,7 @@ void ThreadPool::start_team(Dispatch& d, unsigned nthreads,
   }
 }
 
-void ThreadPool::wait_team(Dispatch& d) {
+void ThreadPool::wait_team(Dispatch& d, FunctionRef<void()> joined) {
   OMPMCA_POOL_GUARD(d.pool_ == this && d.started_,
                     "wait_team() without a matching start_team()");
   if (d.slot_ >= 0) {
@@ -584,6 +584,7 @@ void ThreadPool::wait_team(Dispatch& d) {
         slot.join_waiting.store(false, std::memory_order_relaxed);
       }
     }
+    if (joined) joined();
     // Watchdog disarm — gated on a relaxed load, not on armed(), so a
     // monitor stopped mid-region still gets its stale start cleared (a
     // later monitor would otherwise flag a long-gone region), while an
@@ -599,6 +600,8 @@ void ThreadPool::wait_team(Dispatch& d) {
     release_lease(d.lease_);
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
     release_slot(d.slot_);
+  } else if (joined) {
+    joined();
   }
   d.lease_ = 0;
   d.slot_ = -1;

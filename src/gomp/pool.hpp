@@ -43,6 +43,9 @@
 //    then falls back to blocking on the slot's done_cv (the last worker
 //    notifies only when join_waiting says the master actually sleeps).
 //    wait_team then returns the lease and the slot to their bitmaps.
+//  * Runtime keeps one hot Team per slot (team.hpp): the claimed slot
+//    index selects it, and wait_team's `joined` hook finishes it before the
+//    slot is released, so the next claimant re-arms a quiescent team.
 //  * Misusing the Dispatch handle (start before prepare, double start,
 //    destroying an in-flight dispatch) aborts in every build — the failure
 //    it replaces was silent cross-tenant slab corruption, which a
@@ -77,11 +80,12 @@ enum class PoolMode { kPersistent };
 
 /// ClusterMemory over SystemBackend::allocate_on_cluster with a free-list
 /// cache: the hierarchical barrier allocates one ClusterTier per occupied
-/// cluster per team, and teams are constructed per region, so released
-/// blocks are kept per cluster and reused instead of round-tripping through
-/// the backend (an MRAPI segment create under the MCA backend) on every
-/// fork.  acquire() returns nullptr when the backend cannot place the block
-/// — callers fall back to the process heap.
+/// cluster per team build, and a slot's hot team is rebuilt whenever the
+/// region shape changes, so released blocks are kept per cluster and reused
+/// instead of round-tripping through the backend (an MRAPI segment create
+/// under the MCA backend) on every rebuild.  acquire() returns nullptr when
+/// the backend cannot place the block — callers fall back to the process
+/// heap.
 class ClusterSlabCache final : public ClusterMemory {
  public:
   explicit ClusterSlabCache(SystemBackend& backend) : backend_(backend) {}
@@ -125,6 +129,9 @@ class ThreadPool {
 
     /// Width prepare() granted (1 = no workers leased).
     unsigned width() const { return width_; }
+    /// The claimed dispatch slot (-1 when none): exclusive to this master
+    /// until wait_team, so per-slot state needs no lock of its own.
+    int slot() const { return slot_; }
 
    private:
     friend class ThreadPool;
@@ -156,9 +163,10 @@ class ThreadPool {
   void start_team(Dispatch& d, unsigned nthreads,
                   FunctionRef<void(unsigned)> fn);
 
-  /// Region exit: joins @p d's participants, then returns the lease and
-  /// the slot so other masters can claim them.
-  void wait_team(Dispatch& d);
+  /// Region exit: joins @p d's participants, runs @p joined (when set) —
+  /// the last point at which the master still owns the slot — then returns
+  /// the lease and the slot so other masters can claim them.
+  void wait_team(Dispatch& d, FunctionRef<void()> joined = {});
 
   /// Convenience: prepare + start_team + fn(0) + wait_team.  The team may
   /// be narrower than requested if workers failed to launch.

@@ -174,6 +174,9 @@ Runtime::~Runtime() {
   // the backend is destroyed; it releases its slab into cluster_mem_, which
   // frees through the backend, so the order is pool -> cache -> backend.
   pool_.reset();
+  // Hot teams after the pool (no worker can still be inside one) and
+  // before cluster_mem_, which their hierarchical barriers release into.
+  for (auto& team : hot_teams_) team.reset();
   criticals_.clear();
   cluster_mem_.reset();
   backend_.reset();
@@ -259,6 +262,10 @@ BackendMutex& Runtime::critical_mutex(const std::string& name) {
       mu = std::make_unique<FallbackNativeMutex>();
     }
     it = criticals_.emplace(name, std::move(mu)).first;
+    // release: pairs with unnamed_critical_mutex()'s acquire load.
+    if (name.empty()) {
+      unnamed_critical_.store(it->second.get(), std::memory_order_release);
+    }
   }
   return *it->second;
 }
@@ -307,7 +314,11 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
              : preferred_cluster_of_master(opts_.topology);
   ThreadPool::Dispatch dispatch;
   n = pool_->prepare(dispatch, n, preferred);
-  Team team(*this, n, outer);
+  // Lease pressure can leave no workers at all; such a region runs on a
+  // stack team, like the width-1 fast path.
+  std::optional<Team> serial;
+  Team& team = n > 1 ? hot_team(dispatch.slot(), n, outer)
+                     : serial.emplace(*this, 1, outer);
   auto thread_fn = [&team, body](unsigned tid) { team.run_thread(tid, body); };
   pool_->start_team(dispatch, n, thread_fn);
   if (meter) {
@@ -316,8 +327,18 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
     obs::tenant::on_region(monotonic_nanos() - fork_t0, n < requested);
   }
   thread_fn(0);
-  pool_->wait_team(dispatch);
-  team.finish();
+  // finish() runs after the join but before the slot is released: the
+  // slot's next claimant may re-arm this team.
+  pool_->wait_team(dispatch, [&team] { team.finish(); });
+}
+
+Team& Runtime::hot_team(int slot, unsigned n, ParallelContext* outer) {
+  std::unique_ptr<Team>& team = hot_teams_[static_cast<unsigned>(slot)];
+  if (team == nullptr || team->nthreads() != n || !team->rearm(outer)) {
+    team.reset();  // its cluster-homed barrier returns to the cache first
+    team = std::make_unique<Team>(*this, n, outer);
+  }
+  return *team;
 }
 
 void Runtime::parallel_for(long begin, long end,

@@ -6,6 +6,7 @@
 // benches run both side by side, exactly the comparison the paper makes).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -118,6 +119,13 @@ class Runtime {
   /// Mutex backing critical(@p name); created through the backend on first
   /// use (Listing 4's gomp_mutex path).
   BackendMutex& critical_mutex(const std::string& name);
+  /// critical_mutex("") without the registry: one acquire load once the
+  /// unnamed critical's mutex has been created.
+  BackendMutex& unnamed_critical_mutex() {
+    // acquire: pairs with the release publication in critical_mutex().
+    BackendMutex* mu = unnamed_critical_.load(std::memory_order_acquire);
+    return mu != nullptr ? *mu : critical_mutex("");
+  }
 
   /// The calling thread's innermost ParallelContext, or nullptr outside any
   /// region (this is what the omp_* shims in api.hpp read).
@@ -152,10 +160,20 @@ class Runtime {
   std::unique_ptr<ClusterSlabCache> cluster_mem_;
   std::unique_ptr<platform::ClusterOccupancy> occupancy_;
   std::unique_ptr<ThreadPool> pool_;
+  // One hot team per dispatch slot (see team.hpp): only the master holding
+  // slot s touches hot_teams_[s], so the slot claim is the lock.
+  std::array<std::unique_ptr<Team>, ThreadPool::kMaxSlots> hot_teams_;
 
   CapMutex critical_mu_;
   std::map<std::string, std::unique_ptr<BackendMutex>> criticals_
       OMPMCA_GUARDED_BY(critical_mu_);
+  // criticals_[""], published once under critical_mu_ (never cleared
+  // before the registry itself dies).
+  std::atomic<BackendMutex*> unnamed_critical_{nullptr};
+
+  /// The slot's hot team, re-armed for an @p n-wide region forked from
+  /// @p outer, or rebuilt when it cannot serve that shape.
+  Team& hot_team(int slot, unsigned n, ParallelContext* outer);
 
   /// The calling thread's meter slot for this runtime (Team::finish writes
   /// the finished region's meters here).

@@ -12,24 +12,9 @@
 
 namespace ompmca::gomp {
 
-TaskSystem::TaskSystem() { configure(1, nullptr); }
-
-TaskSystem::~TaskSystem() {
-  // Drop the dependence table's retained references.  After the region's
-  // final drain nothing is queued or executing, so these are the only
-  // references left on completed records.  (The lock is defensive: the
-  // quiescence above is the real guarantee.)
-  MutexLock lk(deps_mu_);
-  for (auto& [addr, entry] : dep_table_) {
-    if (entry.last_out != nullptr) entry.last_out->release();
-    for (Task* t : entry.last_ins) t->release();
-  }
-}
-
-void TaskSystem::configure(unsigned nthreads, const unsigned* cluster_of_thread) {
-  nthreads_ = nthreads > 0 ? nthreads : 1;
-  cluster_of_thread_ = cluster_of_thread;
-  deques_.clear();
+TaskSystem::TaskSystem(unsigned nthreads, const unsigned* cluster_of_thread)
+    : nthreads_(nthreads > 0 ? nthreads : 1),
+      cluster_of_thread_(cluster_of_thread) {
   deques_.reserve(nthreads_);
   for (unsigned i = 0; i < nthreads_; ++i) {
     deques_.push_back(std::make_unique<TaskDeque>());
@@ -41,7 +26,30 @@ void TaskSystem::configure(unsigned nthreads, const unsigned* cluster_of_thread)
       env_long_clamped("OMPMCA_TASKLOOP_TASKS_PER_THREAD", 1, 4096).value_or(8);
 }
 
-Task* TaskSystem::make_implicit() { return new Task(); }
+TaskSystem::~TaskSystem() { release_dependences(); }
+
+void TaskSystem::release_dependences() {
+  // After the region's final drain nothing is queued or executing, so the
+  // table's references are the only ones left on completed records.  (The
+  // lock is defensive: that quiescence is the real guarantee.)
+  MutexLock lk(deps_mu_);
+  for (auto& [addr, entry] : dep_table_) {
+    if (entry.last_out != nullptr) entry.last_out->release();
+    for (Task* t : entry.last_ins) t->release();
+  }
+  dep_table_.clear();
+}
+
+Task* TaskSystem::make_implicit(Task& record) {
+  // The previous region's children all completed (and dropped their
+  // references) before its join, so only the per-region fields need a
+  // reset; the rest never leaves its idle value on an implicit record.
+  record.embedded = true;
+  record.active_group = nullptr;
+  record.live_children.store(0, std::memory_order_relaxed);
+  record.refs.store(1, std::memory_order_relaxed);
+  return &record;
+}
 
 Task* TaskSystem::allocate() {
   // Bounded retry, mirroring the pool's worker-launch recovery: allocation

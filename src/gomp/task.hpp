@@ -63,31 +63,42 @@ struct Task {
   std::uint32_t npredecessors = 0;
   bool has_deps = false;  // spawned with a depend clause
   bool dep_done = false;  // completed (skip when building new edges)
+  // Implicit-task records are embedded in their Team (one per thread,
+  // re-armed every region) and are never deleted by release().
+  bool embedded = false;
 
   void retain() { refs.fetch_add(1, std::memory_order_relaxed); }
   void release() {
-    if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
+    if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1 && !embedded) {
+      delete this;
+    }
   }
 };
 
 class TaskSystem {
  public:
-  TaskSystem();
+  /// One deque per thread of an @p nthreads team, stealing in the order of
+  /// the team's thread->cluster map (borrowed, nthreads entries; nullptr
+  /// for no cluster structure).  Sized once: a hot team keeps its deques,
+  /// and their grown buffers, across regions.
+  explicit TaskSystem(unsigned nthreads = 1,
+                      const unsigned* cluster_of_thread = nullptr);
   ~TaskSystem();
 
   TaskSystem(const TaskSystem&) = delete;
   TaskSystem& operator=(const TaskSystem&) = delete;
 
-  /// Sizes the per-worker deques and adopts the team's thread->cluster map
-  /// (borrowed; may be nullptr for no cluster structure).  Call before any
-  /// spawn, from single-threaded context (Team construction).
-  void configure(unsigned nthreads, const unsigned* cluster_of_thread);
+  /// Arms @p record as a thread's implicit task for a new region: it
+  /// carries the live-children count that taskwait consults and the active
+  /// taskgroup for children.  The record is caller-owned storage (Team
+  /// embeds one per thread); release() never deletes it.
+  static Task* make_implicit(Task& record);
 
-  /// A thread's implicit-task record: carries the live-children count that
-  /// taskwait consults and the active taskgroup for children.  The caller
-  /// release()s it when the thread's region work (including the final
-  /// drain) is done.
-  Task* make_implicit();
+  /// Drops the dependence table's references to completed tasks.  Call
+  /// only when the system is quiescent (after the region's join); a hot
+  /// team calls it at every region end so records never outlive their
+  /// region.
+  void release_dependences();
 
   /// Enqueues a child of @p parent (nullptr = detached from hierarchy
   /// bookkeeping) on @p tid's deque.  The child joins the parent's active
@@ -171,7 +182,7 @@ class TaskSystem {
   std::unordered_map<const void*, DepAddr> dep_table_
       OMPMCA_GUARDED_BY(deps_mu_);
 
-  // Tuning (read from the environment in configure()).
+  // Tuning (read from the environment at construction).
   long spin_ = 100;          // OMPMCA_TASK_SPIN: idle spins before parking
   long taskloop_grain_ = 0;  // OMPMCA_TASKLOOP_GRAIN: fixed grain, 0=adaptive
   long taskloop_tasks_per_thread_ = 8;  // OMPMCA_TASKLOOP_TASKS_PER_THREAD

@@ -38,21 +38,6 @@ obs::Hist barrier_wait_hist(BarrierKind k) {
   return obs::Hist::kGompBarrierWaitCentralNs;
 }
 
-unsigned distinct_clusters(const std::vector<unsigned>& cluster_of_thread) {
-  unsigned spanned = 0;
-  for (std::size_t i = 0; i < cluster_of_thread.size(); ++i) {
-    bool seen = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (cluster_of_thread[j] == cluster_of_thread[i]) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) ++spanned;
-  }
-  return spanned;
-}
-
 /// Unlocks a BackendMutex the caller already holds (the telemetry path
 /// acquires with try_lock-then-lock so it can count contention).
 class AdoptedBackendLock {
@@ -71,61 +56,94 @@ class AdoptedBackendLock {
 Team::Team(Runtime& rt, unsigned nthreads, ParallelContext* parent_ctx)
     : rt_(rt),
       nthreads_(nthreads),
-      level_(parent_ctx != nullptr ? parent_ctx->level() + 1 : 1),
-      parent_ctx_(parent_ctx),
-      inherited_env_(rt.env_icvs()),
+      wait_policy_(rt.icvs().wait_policy),
       cluster_of_thread_(nthreads),
+      // The task deques steal in the same cluster-first victim order as
+      // the loop scheduler; they borrow the map place() fills below.
+      tasks_(nthreads, cluster_of_thread_.data()),
+      implicit_tasks_(std::make_unique<Padded<Task>[]>(nthreads)),
       meters_(nthreads),
       reduce_slots_(nthreads) {
-  const platform::Topology& topo = rt.topology();
-  const platform::PlacementPolicy place =
-      rt.icvs().proc_bind == ProcBind::kClose
-          ? platform::PlacementPolicy::kCompact
-          : platform::PlacementPolicy::kScatter;
-  for (unsigned i = 0; i < nthreads_; ++i) {
-    cluster_of_thread_[i] =
-        topo.cluster_of_hw_thread(topo.placement(i, place));
+  place(parent_ctx);
+  barrier_kind_ = placed_barrier_kind();
+  // Width-1 fast path: nothing to rendezvous, so no barrier object at all —
+  // ParallelContext::barrier() degenerates to a task drain.
+  if (nthreads_ > 1) {
+    barrier_ = make_barrier(rt.barrier_kind(), nthreads_, wait_policy_,
+                            cluster_of_thread_.data(), rt.cluster_memory());
   }
+  arm(parent_ctx);
+}
+
+bool Team::rearm(ParallelContext* parent_ctx) {
+  const bool moved = place(parent_ctx);
+  // The barrier is the only structure built from the placement.  The flat
+  // kinds never read the map, so a moved team (a nested bubble landing on
+  // another cluster) keeps its barrier; the hierarchical one is laid out
+  // per cluster and must be rebuilt.
+  if (rt_.icvs().wait_policy != wait_policy_ ||
+      placed_barrier_kind() != barrier_kind_ ||
+      (moved && barrier_kind_ == BarrierKind::kHierarchical)) {
+    release_bubble();
+    return false;
+  }
+  arm(parent_ctx);
+  return true;
+}
+
+bool Team::place(ParallelContext* parent_ctx) {
+  const platform::Topology& topo = rt_.topology();
   // Bubble placement: a nested region that fits inside one cluster is
   // pinned there — preferring the master's own cluster so the sub-team
   // shares the data its parent thread already has in that L2 — instead of
   // inheriting the board-wide scatter.  Under scatter even a 4-thread
   // nested team would span all three clusters and pay CoreNet on every
   // barrier; as a bubble its barrier collapses to the flat in-cluster tree.
-  if (parent_ctx_ != nullptr && nthreads_ > 1 && rt.nested_bubble() &&
-      topo.num_clusters() > 1) {
-    const unsigned per_cluster = topo.num_hw_threads() / topo.num_clusters();
-    if (nthreads_ <= per_cluster) {
-      const unsigned preferred = parent_ctx_->team().cluster_of_thread(
-          parent_ctx_->thread_num());
-      if (auto cluster =
-              rt.occupancy().reserve_bubble(nthreads_, preferred)) {
-        bubble_cluster_ = *cluster;
-        std::fill(cluster_of_thread_.begin(), cluster_of_thread_.end(),
-                  *cluster);
-        obs::count(*cluster == preferred
-                       ? obs::Counter::kGompTeamBubble
-                       : obs::Counter::kGompTeamBubbleSpill);
-      }
+  bubble_cluster_.reset();
+  if (parent_ctx != nullptr && nthreads_ > 1 && rt_.nested_bubble() &&
+      topo.num_clusters() > 1 &&
+      nthreads_ <= topo.num_hw_threads() / topo.num_clusters()) {
+    const unsigned preferred =
+        parent_ctx->team().cluster_of_thread(parent_ctx->thread_num());
+    bubble_cluster_ = rt_.occupancy().reserve_bubble(nthreads_, preferred);
+    if (bubble_cluster_) {
+      obs::count(*bubble_cluster_ == preferred
+                     ? obs::Counter::kGompTeamBubble
+                     : obs::Counter::kGompTeamBubbleSpill);
     }
   }
-  // Width-1 fast path: nothing to rendezvous, so no barrier object at all —
-  // ParallelContext::barrier() degenerates to a task drain.
-  barrier_kind_ = effective_barrier_kind(rt.barrier_kind(),
-                                         rt.icvs().wait_policy,
-                                         distinct_clusters(cluster_of_thread_));
-  if (nthreads_ > 1) {
-    barrier_ = make_barrier(rt.barrier_kind(), nthreads_,
-                            rt.icvs().wait_policy, cluster_of_thread_.data(),
-                            rt.cluster_memory());
+  const platform::PlacementPolicy policy =
+      rt_.icvs().proc_bind == ProcBind::kClose
+          ? platform::PlacementPolicy::kCompact
+          : platform::PlacementPolicy::kScatter;
+  bool moved = false;
+  for (unsigned i = 0; i < nthreads_; ++i) {
+    const unsigned c =
+        bubble_cluster_ ? *bubble_cluster_
+                        : topo.cluster_of_hw_thread(topo.placement(i, policy));
+    moved = moved || cluster_of_thread_[i] != c;
+    cluster_of_thread_[i] = c;
   }
-  // The task deques steal in the same cluster-first victim order as the
-  // loop scheduler; hand them the thread->cluster map just built.
-  tasks_.configure(nthreads_, cluster_of_thread_.data());
+  return moved;
 }
 
-Team::~Team() {
+BarrierKind Team::placed_barrier_kind() const {
+  return effective_barrier_kind(
+      rt_.barrier_kind(), wait_policy_,
+      clusters_spanned_by(cluster_of_thread_.data(), nthreads_));
+}
+
+void Team::arm(ParallelContext* parent_ctx) {
+  level_ = parent_ctx != nullptr ? parent_ctx->level() + 1 : 1;
+  parent_ctx_ = parent_ctx;
+  inherited_env_ = rt_.env_icvs();
+  single_counter_.store(0, std::memory_order_relaxed);
+  for (auto& m : meters_) m.value = platform::Work{};
+}
+
+void Team::release_bubble() {
   if (bubble_cluster_) rt_.occupancy().release(*bubble_cluster_, nthreads_);
+  bubble_cluster_.reset();
 }
 
 void Team::run_thread(unsigned tid, FunctionRef<void(ParallelContext&)> body) {
@@ -133,9 +151,9 @@ void Team::run_thread(unsigned tid, FunctionRef<void(ParallelContext&)> body) {
   ctx.team_ = this;
   ctx.tid_ = tid;
   // Each thread's implicit task: refcounted so children can pin it past
-  // this frame, and so taskwait tracks its children per spec.
-  Task* implicit_task = tasks_.make_implicit();
-  ctx.current_task_ = implicit_task;
+  // this frame, and so taskwait tracks its children per spec.  The record
+  // is this team's; the join orders its reuse after every child's release.
+  ctx.current_task_ = TaskSystem::make_implicit(implicit_tasks_[tid].value);
 
   // Make the context discoverable by the omp_*-style shims, restoring the
   // enclosing one on exit (nested regions).
@@ -158,7 +176,6 @@ void Team::run_thread(unsigned tid, FunctionRef<void(ParallelContext&)> body) {
   tasks_.drain(tid, &ctx.current_task_);
   rt_.swap_env_override(saved_env);
   Runtime::t_current_ = saved;
-  implicit_task->release();
 }
 
 void Team::finish() {
@@ -176,6 +193,8 @@ void Team::finish() {
       out[i] = meters_[i].value;
     }
   }
+  tasks_.release_dependences();
+  release_bubble();
 }
 
 // --- ParallelContext -----------------------------------------------------------
@@ -381,12 +400,17 @@ void ParallelContext::master(FunctionRef<void()> fn) {
 }
 
 void ParallelContext::critical(FunctionRef<void()> fn) {
-  critical("", fn);
+  run_critical(team_->rt_.unnamed_critical_mutex(), "", fn);
 }
 
 void ParallelContext::critical(std::string_view name,
                                FunctionRef<void()> fn) {
-  BackendMutex& mu = team_->rt_.critical_mutex(std::string(name));
+  run_critical(team_->rt_.critical_mutex(std::string(name)), name, fn);
+}
+
+void ParallelContext::run_critical(BackendMutex& mu,
+                                   [[maybe_unused]] std::string_view name,
+                                   FunctionRef<void()> fn) {
   obs::trace::Span span(obs::trace::Type::kCritical);  // acquire + body
   if (obs::enabled()) {
     obs::count(obs::Counter::kGompCritical);

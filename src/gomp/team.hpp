@@ -11,6 +11,21 @@
 // *runtime* (libGOMP's role), and ParallelContext's methods correspond to
 // the entry points a compiler would emit (GOMP_parallel, GOMP_loop_*,
 // GOMP_barrier, GOMP_critical_*, ...).
+//
+// Lifecycle (hot teams, as libgomp keeps them): Runtime caches one Team per
+// pool dispatch slot, built lazily at the slot's first width >= 2 fork.  A
+// later region on that slot with the same width re-arms it (rearm()), so a
+// same-shape fork allocates nothing: the barrier, the workshare ring and
+// its loop ranges, the reduce slots, the task deques and the per-thread
+// implicit-task records all persist.  rearm() resets exactly the
+// per-region state — level, parent, inherited data environment, single
+// counter, meters — and takes the region's placement, including the nested
+// bubble reservation; finish() returns that reservation and drops the
+// dependence table's references, so a parked team holds neither
+// occupancy nor task records.  A placement the barrier cannot follow (a
+// changed wait policy or barrier kind, or a moved hierarchical team)
+// makes rearm() fail and the slot's team is rebuilt.  Width-1 regions use
+// a stack Team and skip the cache.
 #pragma once
 
 #include <array>
@@ -34,6 +49,7 @@
 
 namespace ompmca::gomp {
 
+class BackendMutex;
 class Runtime;
 class Team;
 
@@ -142,6 +158,9 @@ class ParallelContext {
 
  private:
   friend class Team;
+  void run_critical(BackendMutex& mu, std::string_view name,
+                    FunctionRef<void()> fn);
+
   Team* team_ = nullptr;
   unsigned tid_ = 0;
   unsigned long loop_gen_ = 0;
@@ -155,8 +174,14 @@ class ParallelContext {
 
 class Team {
  public:
+  /// Builds an @p nthreads team and arms it for a region forked from
+  /// @p parent_ctx (nullptr = top level).
   Team(Runtime& rt, unsigned nthreads, ParallelContext* parent_ctx);
-  ~Team();
+
+  /// Re-arms this (finished) team for a new region of the same width
+  /// forked from @p parent_ctx.  False — with nothing reserved — when the
+  /// region's placement needs a different barrier; the caller rebuilds.
+  bool rearm(ParallelContext* parent_ctx);
 
   /// Nesting depth: 1 for a top-level region, parent + 1 for nested ones.
   unsigned level() const { return level_; }
@@ -183,8 +208,10 @@ class Team {
   /// Runs @p body as thread @p tid of this team (called by the pool/master).
   void run_thread(unsigned tid, FunctionRef<void(ParallelContext&)> body);
 
-  /// Called by the master after all threads returned: merges meters upward
-  /// (nested team) or publishes them (top-level team).
+  /// Called by the master after all threads returned, before the team can
+  /// be re-armed: merges meters upward (nested team) or publishes them
+  /// (top-level team), then returns the bubble reservation and drops the
+  /// dependence table's task references.
   void finish();
 
   TaskSystem& tasks() { return tasks_; }
@@ -199,10 +226,19 @@ class Team {
     std::array<std::byte, kMaxReduceBytes> bytes;
   };
 
+  /// Places the region's threads: takes the nested bubble reservation (if
+  /// any) and rewrites cluster_of_thread_.  True when the map changed.
+  bool place(ParallelContext* parent_ctx);
+  /// Resets the per-region state for a region forked from @p parent_ctx.
+  void arm(ParallelContext* parent_ctx);
+  void release_bubble();
+  BarrierKind placed_barrier_kind() const;
+
   Runtime& rt_;
-  unsigned nthreads_;
-  unsigned level_;
-  ParallelContext* parent_ctx_;
+  const unsigned nthreads_;
+  const WaitPolicy wait_policy_;  // the barrier was built for this policy
+  unsigned level_ = 1;
+  ParallelContext* parent_ctx_ = nullptr;
   // The master's data-environment ICVs at fork time: every team thread
   // inherits these for the region and discards its changes at region end
   // (run_thread installs/restores the thread-local override).
@@ -212,12 +248,16 @@ class Team {
   // Thread -> hardware cluster, from the topology's placement under the
   // proc-bind ICV (or all one cluster for a nested bubble team); feeds the
   // loop scheduler's cluster-local steal pass and the hierarchical barrier.
+  // Rewritten in place by every rearm(); the task deques and the loop ring
+  // read it through borrowed pointers.
   std::vector<unsigned> cluster_of_thread_;
   std::optional<unsigned> bubble_cluster_;
   std::array<LoopInstance, kWorkshareRing> loops_;
   std::array<SectionsInstance, kWorkshareRing> sections_;
   std::atomic<unsigned long> single_counter_{0};
   TaskSystem tasks_;
+  // One implicit-task record per thread (Task holds atomics, so no vector).
+  std::unique_ptr<Padded<Task>[]> implicit_tasks_;
   std::vector<Padded<platform::Work>> meters_;
   std::vector<ReduceSlot> reduce_slots_;
   ReduceSlot reduce_result_;

@@ -38,6 +38,9 @@ class Rwlock {
 
   std::uint32_t readers() const OMPMCA_EXCLUDES(mu_);
   bool write_locked() const OMPMCA_EXCLUDES(mu_);
+  /// Writers blocked in lock_write right now (the ones new readers queue
+  /// behind).
+  std::uint32_t waiting_writers() const OMPMCA_EXCLUDES(mu_);
 
  private:
   RwlockAttributes attrs_;

@@ -557,6 +557,89 @@ TEST_P(RuntimeBackendTest, NestedLaunchFailureReturnsLeaseImmediately) {
   });
 }
 
+/// Either real backend behind a create_mutex probe: counts every mutex
+/// creation and, when @p fail is set, refuses them (nullptr).
+class MutexProbeBackend final : public SystemBackend {
+ public:
+  MutexProbeBackend(BackendKind kind,
+                    std::shared_ptr<std::atomic<unsigned>> creates, bool fail)
+      : creates_(std::move(creates)), fail_(fail) {
+    const platform::Topology topo = platform::Topology::t4240rdb();
+    if (kind == BackendKind::kMca) {
+      mrapi::Database::instance().configure_platform(topo);
+      inner_ = std::make_unique<McaBackend>(0);
+    } else {
+      inner_ = std::make_unique<NativeBackend>(topo);
+    }
+  }
+
+  std::string_view name() const override { return "mutex-probe"; }
+  Status launch_thread(unsigned index, std::function<void()> fn) override {
+    return inner_->launch_thread(index, std::move(fn));
+  }
+  Status join_thread(unsigned index) override {
+    return inner_->join_thread(index);
+  }
+  void* allocate(std::size_t bytes) override {
+    return inner_->allocate(bytes);
+  }
+  void deallocate(void* p) override { inner_->deallocate(p); }
+  std::unique_ptr<BackendMutex> create_mutex() override {
+    creates_->fetch_add(1);
+    return fail_ ? nullptr : inner_->create_mutex();
+  }
+  unsigned num_procs() override { return inner_->num_procs(); }
+
+ private:
+  std::shared_ptr<std::atomic<unsigned>> creates_;
+  bool fail_;
+  std::unique_ptr<SystemBackend> inner_;
+};
+
+/// 20 width-4 regions x 500 unnamed criticals around a plain increment;
+/// returns the count (exact only when the critical excludes).
+long hammer_unnamed_critical(Runtime& rt) {
+  long counter = 0;
+  for (int r = 0; r < 20; ++r) {
+    rt.parallel([&](ParallelContext& ctx) {
+      for (int i = 0; i < 500; ++i) ctx.critical([&] { ++counter; });
+    });
+  }
+  return counter;
+}
+
+TEST_P(RuntimeBackendTest, UnnamedCriticalIsOneBackendMutex) {
+  // The unnamed critical's fast path skips the registry, not the backend:
+  // its mutex is created through create_mutex once, then reused.
+  auto creates = std::make_shared<std::atomic<unsigned>>(0);
+  RuntimeOptions opts = options_for(GetParam(), 4);
+  opts.backend_factory = [kind = GetParam(), creates] {
+    return std::make_unique<MutexProbeBackend>(kind, creates, false);
+  };
+  Runtime rt(opts);
+  EXPECT_EQ(hammer_unnamed_critical(rt), 20 * 4 * 500);
+  EXPECT_EQ(creates->load(), 1u);
+  // critical("") names the same mutex; another name gets its own.
+  rt.parallel([](ParallelContext& ctx) {
+    ctx.critical("", [] {});
+    ctx.critical("other", [] {});
+  });
+  EXPECT_EQ(creates->load(), 2u);
+}
+
+TEST_P(RuntimeBackendTest, UnnamedCriticalDegradesToNativeMutex) {
+  // A backend that cannot create mutexes still gets exclusion: the first
+  // unnamed critical falls back to a process mutex and publishes that.
+  auto creates = std::make_shared<std::atomic<unsigned>>(0);
+  RuntimeOptions opts = options_for(GetParam(), 4);
+  opts.backend_factory = [kind = GetParam(), creates] {
+    return std::make_unique<MutexProbeBackend>(kind, creates, true);
+  };
+  Runtime rt(opts);
+  EXPECT_EQ(hammer_unnamed_critical(rt), 20 * 4 * 500);
+  EXPECT_EQ(creates->load(), 1u);
+}
+
 TEST_P(RuntimeBackendTest, ThreadNumsAreDistinct) {
   auto rt = make_runtime(8);
   std::mutex mu;

@@ -56,14 +56,15 @@ bool spin_until(Pred pred) {
 // epoch (and the seed-era notify fix), A wakes on the spawn and the chain
 // completes promptly.
 TEST(TaskRegression, SpawnWakesParkedTaskwaitWaiter) {
-  TaskSystem ts;
-  ts.configure(2, nullptr);
+  TaskSystem ts(2, nullptr);
   std::atomic<bool> child_started{false};
   std::atomic<bool> grandchild_ran{false};
   std::atomic<bool> chain_completed{false};
 
-  Task* implicit_a = ts.make_implicit();
-  Task* implicit_b = ts.make_implicit();
+  Task record_a;
+  Task record_b;
+  Task* implicit_a = ts.make_implicit(record_a);
+  Task* implicit_b = ts.make_implicit(record_b);
 
   std::thread waiter([&] {
     Task* cur = implicit_a;
@@ -105,15 +106,16 @@ TEST(TaskRegression, SpawnWakesParkedTaskwaitWaiter) {
 // Same window through group_wait: the waiter parks on the group, new work
 // arrives, and only the waiter is free to run it.
 TEST(TaskRegression, SpawnWakesParkedGroupWaitWaiter) {
-  TaskSystem ts;
-  ts.configure(2, nullptr);
+  TaskSystem ts(2, nullptr);
   TaskGroup group;
   std::atomic<bool> child_started{false};
   std::atomic<bool> grandchild_ran{false};
   std::atomic<bool> chain_completed{false};
 
-  Task* implicit_a = ts.make_implicit();
-  Task* implicit_b = ts.make_implicit();
+  Task record_a;
+  Task record_b;
+  Task* implicit_a = ts.make_implicit(record_a);
+  Task* implicit_b = ts.make_implicit(record_b);
 
   std::thread waiter([&] {
     Task* cur = implicit_a;
@@ -194,7 +196,8 @@ TEST(TaskRegression, TaskgroupWaitsForDescendantsOfStolenTasks) {
 
 TEST(TaskRegression, ThrowingTaskRestoresSlotAndAccounting) {
   TaskSystem ts;
-  Task* implicit = ts.make_implicit();
+  Task record;
+  Task* implicit = ts.make_implicit(record);
   Task* cur = implicit;
 
   ts.spawn(0, cur, [] { throw std::runtime_error("task body"); });
@@ -217,7 +220,8 @@ TEST(TaskRegression, ThrowingTaskRestoresSlotAndAccounting) {
 TEST(TaskRegression, ThrowingTaskInsideGroupReleasesGroup) {
   TaskSystem ts;
   TaskGroup group;
-  Task* implicit = ts.make_implicit();
+  Task record;
+  Task* implicit = ts.make_implicit(record);
   Task* cur = implicit;
   implicit->active_group = &group;
   ts.spawn(0, cur, [] { throw std::runtime_error("boom"); });
@@ -241,7 +245,8 @@ TEST(TaskRegression, ThrowingTaskInsideGroupReleasesGroup) {
 
 TEST(TaskRegression, TaskloopThrowingChunkDrainsAndRestoresGroup) {
   TaskSystem ts;
-  Task* implicit = ts.make_implicit();
+  Task record;
+  Task* implicit = ts.make_implicit(record);
   Task* cur = implicit;
 
   std::atomic<int> chunks_entered{0};
@@ -271,7 +276,8 @@ TEST(TaskRegression, TaskloopThrowingChunkDrainsAndRestoresGroup) {
 TEST(TaskRegression, TaskloopExceptionDoesNotLeakIntoEnclosingGroup) {
   TaskSystem ts;
   TaskGroup outer;
-  Task* implicit = ts.make_implicit();
+  Task record;
+  Task* implicit = ts.make_implicit(record);
   Task* cur = implicit;
 
   implicit->active_group = &outer;

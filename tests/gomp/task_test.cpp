@@ -114,7 +114,8 @@ TEST(TaskSystem, DependOnDisjointAddressesDoesNotSerialise) {
 
 TEST(TaskSystem, TaskloopCoversRangeExactlyOnce) {
   TaskSystem ts;
-  Task* implicit = ts.make_implicit();
+  Task record;
+  Task* implicit = ts.make_implicit(record);
   Task* current = implicit;
   std::vector<int> hits(1000, 0);
   ts.taskloop(0, &current, 0, 1000, /*grain=*/64, [&](long lo, long hi) {
@@ -127,7 +128,8 @@ TEST(TaskSystem, TaskloopCoversRangeExactlyOnce) {
 
 TEST(TaskSystem, TaskloopAdaptiveGrainCoversOddRange) {
   TaskSystem ts;
-  Task* implicit = ts.make_implicit();
+  Task record;
+  Task* implicit = ts.make_implicit(record);
   Task* current = implicit;
   std::vector<int> hits(1237, 0);
   // grain 0 = adaptive policy; correctness must not depend on the grain.
@@ -141,7 +143,8 @@ TEST(TaskSystem, TaskloopAdaptiveGrainCoversOddRange) {
 
 TEST(TaskSystem, TaskloopEmptyRangeSpawnsNothing) {
   TaskSystem ts;
-  Task* implicit = ts.make_implicit();
+  Task record;
+  Task* implicit = ts.make_implicit(record);
   Task* current = implicit;
   bool ran = false;
   ts.taskloop(0, &current, 5, 5, 0, [&](long, long) { ran = true; });

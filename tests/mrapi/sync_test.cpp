@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -216,10 +217,17 @@ TEST(Rwlock, WriterNotStarvedByReaderStream) {
     writer_done.store(true);
     (void)rw.unlock_write();
   });
-  // Give the writer time to queue, then try to read: must be refused
-  // (writer preference) while a writer waits.
+  // Wait until the writer has queued behind our read lock (a fixed sleep
+  // let a reader in first on a loaded host), then try to read: must be
+  // refused (writer preference) while a writer waits.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (rw.waiting_writers() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(rw.waiting_writers(), 1u);
   for (int i = 0; i < 100 && !writer_done.load(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
     if (rw.lock_read(kTimeoutImmediate) == Status::kSuccess) {
       // Only possible once the writer has been served.
       EXPECT_TRUE(writer_done.load());
