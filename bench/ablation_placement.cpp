@@ -12,7 +12,9 @@
 //   * a live runtime witness: real teams with real barriers, reporting the
 //     gomp.barrier_local / gomp.barrier_xcluster split and the bubble
 //     counters (and, with --trace, the barrier_tier sub-events for
-//     bench/analyze_trace.py).
+//     bench/analyze_trace.py).  The runtime has only the two-tier barrier,
+//     so flat mode derives the flat barrier's split from the team's
+//     cluster map.
 //
 // Flags:
 //   --mode=flat|hier  which configuration the artifact describes (default
@@ -23,6 +25,7 @@
 //   --trace=PATH      export a Chrome trace of the runtime witness.
 //   --quick           skip the simx spread/close study (CI smoke).
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -100,8 +103,8 @@ ModeNumbers model_mode(const platform::CostModel& model, bool hier) {
   ModeNumbers m;
   if (hier) {
     m.barrier_top_w24 = model.barrier_seconds_hierarchical(top) * 1e6;
-    // The bubble team spans one cluster, where the hierarchical request
-    // collapses to the flat in-cluster tree: flat model, 1-cluster shape.
+    // The bubble team spans one cluster, where the barrier is one group
+    // with no top tier: flat model, 1-cluster shape.
     m.barrier_nested_w4 = model.barrier_seconds(nested_bubble) * 1e6;
     m.fork_top_w24 = model.fork_seconds(top) * 1e6;
     m.fork_nested_w4 = model.fork_seconds(nested_bubble) * 1e6;
@@ -125,7 +128,6 @@ struct Witness {
 
 gomp::RuntimeOptions witness_options(bool hier) {
   gomp::RuntimeOptions opts;
-  opts.barrier = hier ? gomp::BarrierKind::kAuto : gomp::BarrierKind::kCentral;
   opts.nested_bubble = hier;
   gomp::Icvs icvs;
   icvs.num_threads = 6;
@@ -142,18 +144,32 @@ Witness run_witness(bool hier) {
 
   // Phase 1 — barrier locality on a flat 6-thread team (no nesting, so
   // every counted phase is a full 6-arrival barrier and the local/xcluster
-  // ratio is exact).
+  // ratio is exact).  The hier numbers are the runtime barrier's own
+  // counters.  The flat numbers come from the team's cluster map: a flat
+  // barrier homes its state in the master's cluster, so every arrival from
+  // another cluster crosses CoreNet — O(n) crossings per barrier.
+  constexpr std::uint64_t kBarriers = 50;
+  std::atomic<std::uint64_t> flat_local{0};
+  std::atomic<std::uint64_t> flat_xcluster{0};
   obs::Registry::instance().reset();
   {
     gomp::Runtime rt(witness_options(hier));
     rt.parallel([&](gomp::ParallelContext& ctx) {
-      for (int i = 0; i < 50; ++i) ctx.barrier();
+      for (std::uint64_t i = 0; i < kBarriers; ++i) ctx.barrier();
+      const gomp::Team& team = ctx.team();
+      (team.cluster_of_thread(ctx.thread_num()) == team.cluster_of_thread(0)
+           ? flat_local
+           : flat_xcluster)
+          .fetch_add(kBarriers, std::memory_order_relaxed);
     });
   }
-  {
+  if (hier) {
     obs::Snapshot s = obs::Registry::instance().snapshot();
     w.barrier_local = s.counter(obs::Counter::kGompBarrierLocal);
     w.barrier_xcluster = s.counter(obs::Counter::kGompBarrierXCluster);
+  } else {
+    w.barrier_local = flat_local.load();
+    w.barrier_xcluster = flat_xcluster.load();
   }
 
   // Phase 2 — nested bubble reservations (counted at team construction).

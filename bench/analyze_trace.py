@@ -308,7 +308,7 @@ def print_human(summary):
             print(f"  arrivals per cluster: {spread}")
     else:
         print("barrier locality: no barrier_tier events "
-              "(flat barrier, or trace not in full mode)")
+              "(trace not in full mode, or no team barrier ran)")
 
 
 def main():

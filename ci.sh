@@ -34,6 +34,10 @@ cmake --build build -j
 # launch or join failed.
 ./build/bench/ablation_node_mgmt >/dev/null
 echo "node-lifecycle ablation: pool and per-region rows ran on both backends"
+# Every barrier algorithm the ablation times must separate phases, and the
+# model must favour the two-tier barrier; non-zero exit = a violation.
+./build/bench/ablation_barriers --quick >/dev/null
+echo "barrier ablation: every algorithm separates phases"
 
 echo "== [2/14] ThreadSanitizer, all suites =="
 # Race-check everything, not just the gomp hot paths: the MRAPI database,
@@ -45,11 +49,11 @@ cmake --build build-tsan -j
 # synchronisation path it exercises is already covered by gomp_test and
 # validation_test under TSan.
 (cd build-tsan && ctest --output-on-failure -E '^epcc_test$')
-# The hierarchical barrier's two-tier release protocol (per-cluster sense
-# flips + top-tier combine) gets a dedicated race check: real threads, the
-# hier kind forced.
+# The team barrier's two-tier release protocol (per-cluster sense flips +
+# top-tier combine) gets a dedicated race check: real threads over a
+# 3-cluster map.
 ./build-tsan/bench/ablation_barriers --quick --kind=hier >/dev/null
-echo "hierarchical barrier ablation: clean under TSan"
+echo "two-tier barrier ablation: clean under TSan"
 
 echo "== [3/14] ASan+UBSan, all suites =="
 cmake -B build-asan -S . -DOMPMCA_WERROR=ON -DOMPMCA_ASAN=ON
@@ -63,9 +67,9 @@ echo "== [4/14] correctness checker (OMPMCA_CHECK=ON), all suites =="
 cmake -B build-check -S . -DOMPMCA_WERROR=ON -DOMPMCA_CHECK=ON
 cmake --build build-check -j
 (cd build-check && ctest --output-on-failure)
-# Same hierarchical-barrier run under the lockdep/lifecycle hooks.
+# Same two-tier barrier run under the lockdep/lifecycle hooks.
 OMPMCA_CHECK_ABORT=1 ./build-check/bench/ablation_barriers --quick --kind=hier >/dev/null
-echo "hierarchical barrier ablation: clean under checker"
+echo "two-tier barrier ablation: clean under checker"
 
 echo "== [5/14] fault injection (OMPMCA_FAULT=ON + OMPMCA_CHECK=ON), all suites =="
 # Compiles the injection points and recovery policies in and runs the whole

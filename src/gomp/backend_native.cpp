@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "common/align.hpp"
+
 namespace ompmca::gomp {
 
 namespace {
@@ -52,7 +54,11 @@ Status NativeBackend::join_thread(unsigned index) {
   return Status::kSuccess;
 }
 
-void* NativeBackend::allocate(std::size_t bytes) { return std::malloc(bytes); }
+// Cache-line aligned: allocate_on_cluster serves this path, and its blocks
+// hold cache-line-aligned types (barrier tiers, the dispatch-slot bank).
+void* NativeBackend::allocate(std::size_t bytes) {
+  return std::aligned_alloc(kCacheLineBytes, align_up(bytes, kCacheLineBytes));
+}
 
 void NativeBackend::deallocate(void* p) { std::free(p); }
 

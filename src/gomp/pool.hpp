@@ -79,7 +79,7 @@ namespace ompmca::gomp {
 enum class PoolMode { kPersistent };
 
 /// ClusterMemory over SystemBackend::allocate_on_cluster with a free-list
-/// cache: the hierarchical barrier allocates one ClusterTier per occupied
+/// cache: the team barrier allocates one ClusterTier per occupied
 /// cluster per team build, and a slot's hot team is rebuilt whenever the
 /// region shape changes, so released blocks are kept per cluster and reused
 /// instead of round-tripping through the backend (an MRAPI segment create

@@ -124,18 +124,9 @@ Runtime::Runtime(RuntimeOptions opts)
       backend_(make_backend(opts_)) {
   icvs_ = opts_.icvs ? *opts_.icvs : Icvs::from_env(backend_->num_procs());
   icvs_.num_threads = std::min(icvs_.num_threads, icvs_.thread_limit);
-  // Environment knobs override the option defaults (both are runtime-tuning
-  // switches, same spirit as OMP_WAIT_POLICY).
+  // The environment knob overrides the option default (a runtime-tuning
+  // switch, same spirit as OMP_WAIT_POLICY).
   nested_bubble_ = opts_.nested_bubble;
-  if (const char* env = std::getenv("OMPMCA_BARRIER")) {
-    BarrierKind kind;
-    if (parse_barrier_kind(env, &kind)) {
-      opts_.barrier = kind;
-    } else {
-      OMPMCA_LOG_WARN("OMPMCA_BARRIER=%s: unknown barrier kind, ignoring",
-                      env);
-    }
-  }
   if (const char* env = std::getenv("OMPMCA_NESTED_PLACEMENT")) {
     const std::string_view v(env);
     if (v == "flat") {
@@ -175,7 +166,7 @@ Runtime::~Runtime() {
   // frees through the backend, so the order is pool -> cache -> backend.
   pool_.reset();
   // Hot teams after the pool (no worker can still be inside one) and
-  // before cluster_mem_, which their hierarchical barriers release into.
+  // before cluster_mem_, which their barriers release into.
   for (auto& team : hot_teams_) team.reset();
   criticals_.clear();
   cluster_mem_.reset();

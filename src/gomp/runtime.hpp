@@ -34,8 +34,8 @@ struct RuntimeOptions {
   mrapi::DomainId domain = 0;
   /// Defaults to Icvs::from_env(backend num_procs).
   std::optional<Icvs> icvs;
-  /// Barrier request; kAuto resolves per team (hierarchical when the team
-  /// spans >1 cluster, central otherwise).  OMPMCA_BARRIER overrides.
+  /// Read by nothing: every team runs the one barrier (barrier.hpp).  Kept
+  /// because perfbench/workloads.cpp still assigns it.
   BarrierKind barrier = BarrierKind::kAuto;
   /// Nested-team bubble placement: pin a nested region that fits inside one
   /// cluster to a single cluster (the master's, spilling to the
@@ -78,7 +78,6 @@ class Runtime {
   SystemBackend& backend() { return *backend_; }
   Icvs& icvs() { return icvs_; }
   const Icvs& icvs() const { return icvs_; }
-  BarrierKind barrier_kind() const { return opts_.barrier; }
   const platform::Topology& topology() const { return opts_.topology; }
   ThreadPool& pool() { return *pool_; }
   /// Cluster-homed slab allocator for barrier/team state (never null).

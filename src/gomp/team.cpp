@@ -24,20 +24,6 @@ namespace {
   return h;
 }
 
-obs::Hist barrier_wait_hist(BarrierKind k) {
-  switch (k) {
-    case BarrierKind::kCentral: return obs::Hist::kGompBarrierWaitCentralNs;
-    case BarrierKind::kTree: return obs::Hist::kGompBarrierWaitTreeNs;
-    case BarrierKind::kDissemination:
-      return obs::Hist::kGompBarrierWaitDisseminationNs;
-    case BarrierKind::kHierarchical:
-      return obs::Hist::kGompBarrierWaitHierarchicalNs;
-    case BarrierKind::kAuto:
-      break;  // teams cache the *effective* kind; kAuto never reaches here
-  }
-  return obs::Hist::kGompBarrierWaitCentralNs;
-}
-
 /// Unlocks a BackendMutex the caller already holds (the telemetry path
 /// acquires with try_lock-then-lock so it can count contention).
 class AdoptedBackendLock {
@@ -65,25 +51,30 @@ Team::Team(Runtime& rt, unsigned nthreads, ParallelContext* parent_ctx)
       meters_(nthreads),
       reduce_slots_(nthreads) {
   place(parent_ctx);
-  barrier_kind_ = placed_barrier_kind();
   // Width-1 fast path: nothing to rendezvous, so no barrier object at all —
   // ParallelContext::barrier() degenerates to a task drain.
   if (nthreads_ > 1) {
-    barrier_ = make_barrier(rt.barrier_kind(), nthreads_, wait_policy_,
-                            cluster_of_thread_.data(), rt.cluster_memory());
+    barrier_ = std::make_unique<HierarchicalBarrier>(
+        nthreads_, wait_policy_, cluster_of_thread_.data(),
+        rt.cluster_memory());
   }
   arm(parent_ctx);
 }
 
 bool Team::rearm(ParallelContext* parent_ctx) {
   const bool moved = place(parent_ctx);
-  // The barrier is the only structure built from the placement.  The flat
-  // kinds never read the map, so a moved team (a nested bubble landing on
-  // another cluster) keeps its barrier; the hierarchical one is laid out
-  // per cluster and must be rebuilt.
+  // The barrier is the only structure built from the placement.  A
+  // one-group barrier never reads cluster ids, so a team moving from one
+  // cluster to another (a nested bubble landing elsewhere) keeps it; a map
+  // that moved and spans more than one cluster, before or after, needs a
+  // barrier laid out for its groups.
+  const auto in_one_cluster = [this] {
+    return std::all_of(
+        cluster_of_thread_.begin(), cluster_of_thread_.end(),
+        [this](unsigned c) { return c == cluster_of_thread_[0]; });
+  };
   if (rt_.icvs().wait_policy != wait_policy_ ||
-      placed_barrier_kind() != barrier_kind_ ||
-      (moved && barrier_kind_ == BarrierKind::kHierarchical)) {
+      (moved && (barrier_->num_cluster_groups() > 1 || !in_one_cluster()))) {
     release_bubble();
     return false;
   }
@@ -98,7 +89,7 @@ bool Team::place(ParallelContext* parent_ctx) {
   // shares the data its parent thread already has in that L2 — instead of
   // inheriting the board-wide scatter.  Under scatter even a 4-thread
   // nested team would span all three clusters and pay CoreNet on every
-  // barrier; as a bubble its barrier collapses to the flat in-cluster tree.
+  // barrier; as a bubble its barrier is one in-cluster group.
   bubble_cluster_.reset();
   if (parent_ctx != nullptr && nthreads_ > 1 && rt_.nested_bubble() &&
       topo.num_clusters() > 1 &&
@@ -125,12 +116,6 @@ bool Team::place(ParallelContext* parent_ctx) {
     cluster_of_thread_[i] = c;
   }
   return moved;
-}
-
-BarrierKind Team::placed_barrier_kind() const {
-  return effective_barrier_kind(
-      rt_.barrier_kind(), wait_policy_,
-      clusters_spanned_by(cluster_of_thread_.data(), nthreads_));
 }
 
 void Team::arm(ParallelContext* parent_ctx) {
@@ -217,27 +202,15 @@ void ParallelContext::barrier() {
     return;
   }
   if (obs::enabled() || obs::trace::enabled()) {
-    const BarrierKind kind = team_->barrier_kind_;
-    if (obs::enabled()) {
-      obs::count(obs::Counter::kGompBarrier);
-      // Arrival locality for the flat algorithms: every thread converges on
-      // barrier state homed in the master's cluster, so any arrival from
-      // another cluster crosses CoreNet — O(n) crossings per barrier.  The
-      // hierarchical barrier self-counts (only cluster leaders cross).
-      if (kind != BarrierKind::kHierarchical) {
-        obs::count(team_->cluster_of_thread_[tid_] ==
-                           team_->cluster_of_thread_[0]
-                       ? obs::Counter::kGompBarrierLocal
-                       : obs::Counter::kGompBarrierXCluster);
-      }
-    }
+    obs::count(obs::Counter::kGompBarrier);
     const std::uint64_t t0 = monotonic_nanos();
     team_->barrier_->arrive_and_wait(tid_);
     if (obs::enabled()) {
-      obs::record(barrier_wait_hist(kind), monotonic_nanos() - t0);
+      obs::record(obs::Hist::kGompBarrierWaitNs, monotonic_nanos() - t0);
     }
     obs::trace::complete(obs::trace::Type::kBarrier, t0,
-                         static_cast<std::uint64_t>(kind), team_->nthreads_);
+                         team_->barrier_->num_cluster_groups(),
+                         team_->nthreads_);
   } else {
     team_->barrier_->arrive_and_wait(tid_);
   }

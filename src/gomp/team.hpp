@@ -22,10 +22,12 @@
 // counter, meters — and takes the region's placement, including the nested
 // bubble reservation; finish() returns that reservation and drops the
 // dependence table's references, so a parked team holds neither
-// occupancy nor task records.  A placement the barrier cannot follow (a
-// changed wait policy or barrier kind, or a moved hierarchical team)
-// makes rearm() fail and the slot's team is rebuilt.  Width-1 regions use
-// a stack Team and skip the cache.
+// occupancy nor task records.  The barrier is the only structure built
+// from the placement, so rearm() fails — and the slot's team is rebuilt —
+// only when the barrier cannot follow: the wait policy changed, or the map
+// moved and spans more than one cluster (before or after).  A one-group
+// team moving between clusters, as a nested bubble does, keeps its
+// barrier.  Width-1 regions use a stack Team and skip the cache.
 #pragma once
 
 #include <array>
@@ -33,6 +35,7 @@
 #include <cstring>
 #include <functional>
 #include <initializer_list>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <type_traits>
@@ -192,9 +195,6 @@ class Team {
   unsigned nthreads() const { return nthreads_; }
   Runtime& runtime() { return rt_; }
 
-  /// The effective barrier algorithm this team runs (resolved once at
-  /// construction from the request, wait policy and clusters spanned).
-  BarrierKind barrier_kind() const { return barrier_kind_; }
   /// The hardware cluster thread @p tid is placed on.
   unsigned cluster_of_thread(unsigned tid) const {
     return cluster_of_thread_[tid];
@@ -203,7 +203,7 @@ class Team {
   /// placement (top-level teams, oversized or spill-refused nested ones).
   std::optional<unsigned> bubble_cluster() const { return bubble_cluster_; }
   /// nullptr for width-1 teams (the barrier fast path).
-  const TeamBarrier* team_barrier() const { return barrier_.get(); }
+  const HierarchicalBarrier* team_barrier() const { return barrier_.get(); }
 
   /// Runs @p body as thread @p tid of this team (called by the pool/master).
   void run_thread(unsigned tid, FunctionRef<void(ParallelContext&)> body);
@@ -232,7 +232,6 @@ class Team {
   /// Resets the per-region state for a region forked from @p parent_ctx.
   void arm(ParallelContext* parent_ctx);
   void release_bubble();
-  BarrierKind placed_barrier_kind() const;
 
   Runtime& rt_;
   const unsigned nthreads_;
@@ -243,11 +242,10 @@ class Team {
   // inherits these for the region and discards its changes at region end
   // (run_thread installs/restores the thread-local override).
   EnvIcvs inherited_env_;
-  BarrierKind barrier_kind_ = BarrierKind::kCentral;
-  std::unique_ptr<TeamBarrier> barrier_;
+  std::unique_ptr<HierarchicalBarrier> barrier_;
   // Thread -> hardware cluster, from the topology's placement under the
   // proc-bind ICV (or all one cluster for a nested bubble team); feeds the
-  // loop scheduler's cluster-local steal pass and the hierarchical barrier.
+  // loop scheduler's cluster-local steal pass and the barrier's groups.
   // Rewritten in place by every rearm(); the task deques and the loop ring
   // read it through borrowed pointers.
   std::vector<unsigned> cluster_of_thread_;

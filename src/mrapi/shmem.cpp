@@ -2,10 +2,21 @@
 
 #include <cstdlib>
 
+#include "common/align.hpp"
 #include "common/log.hpp"
 #include "fault/fault.hpp"
 
 namespace ompmca::mrapi {
+
+namespace {
+
+/// Heap-mode storage, cache-line aligned like the arena's blocks (callers
+/// place cache-line-aligned types in segments); freed with std::free.
+void* heap_block(std::size_t size) {
+  return std::aligned_alloc(kCacheLineBytes, align_up(size, kCacheLineBytes));
+}
+
+}  // namespace
 
 Shmem::Shmem(ResourceKey key, std::size_t size, ShmemAttributes attrs,
              SystemShmArena* arena)
@@ -14,7 +25,7 @@ Shmem::Shmem(ResourceKey key, std::size_t size, ShmemAttributes attrs,
   if (attrs_.use_malloc) attrs_.mode = ShmemMode::kHeap;
   if (attrs_.mode == ShmemMode::kHeap) {
     // The paper's extension: plain process-heap storage.
-    base_ = inject ? nullptr : std::malloc(size_);
+    base_ = inject ? nullptr : heap_block(size_);
   } else {
     bool arena_failed = false;
     if (!inject) {
@@ -32,7 +43,7 @@ Shmem::Shmem(ResourceKey key, std::size_t size, ShmemAttributes attrs,
           "mode",
           key_, size_);
       attrs_.mode = ShmemMode::kHeap;
-      base_ = std::malloc(size_);
+      base_ = heap_block(size_);
       if (base_ != nullptr) {
         // Credit the recovery to the site that actually failed: the arena
         // carve-out when it returned empty-handed, the shmem create

@@ -99,13 +99,7 @@ std::string_view name(Hist h) {
     case Hist::kGompSingleNs: return "gomp.single_ns";
     case Hist::kGompCriticalNs: return "gomp.critical_ns";
     case Hist::kGompReductionNs: return "gomp.reduction_ns";
-    case Hist::kGompBarrierWaitCentralNs:
-      return "gomp.barrier_wait.central_ns";
-    case Hist::kGompBarrierWaitTreeNs: return "gomp.barrier_wait.tree_ns";
-    case Hist::kGompBarrierWaitDisseminationNs:
-      return "gomp.barrier_wait.dissemination_ns";
-    case Hist::kGompBarrierWaitHierarchicalNs:
-      return "gomp.barrier_wait.hierarchical_ns";
+    case Hist::kGompBarrierWaitNs: return "gomp.barrier_wait_ns";
     case Hist::kGompDoorbellWakeNs: return "gomp.doorbell_wake_ns";
     case Hist::kGompLeaseWaitNs: return "gomp.lease_wait_ns";
     case Hist::kMrapiMutexAcquireNs: return "mrapi.mutex_acquire_ns";

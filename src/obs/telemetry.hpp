@@ -51,11 +51,11 @@ enum class Counter : unsigned {
   kGompTaskStolenLocal,   // victim in the thief's cluster
   kGompTaskStolenRemote,  // steal crossed a cluster boundary (CoreNet hop)
   kGompPoolDispatch,
-  // Barrier arrival locality (hierarchical barrier witness): an arrival
+  // Barrier arrival locality (the team barrier's witness): an arrival
   // that stayed inside the arriving thread's cluster vs one that crossed
-  // the CoreNet fabric.  A flat barrier on a 3-cluster 24-thread team pays
-  // 16 cross-cluster arrivals per barrier; the hierarchical barrier pays
-  // one per occupied cluster.
+  // the CoreNet fabric.  A flat barrier on a 3-cluster 24-thread team would
+  // pay 16 cross-cluster arrivals per barrier; the two-tier barrier pays
+  // one per occupied cluster, and none on a one-cluster team.
   kGompBarrierLocal,
   kGompBarrierXCluster,
   // Teams that ran narrower than requested because worker launch failed
@@ -104,10 +104,7 @@ enum class Hist : unsigned {
   kGompSingleNs,
   kGompCriticalNs,
   kGompReductionNs,
-  kGompBarrierWaitCentralNs,
-  kGompBarrierWaitTreeNs,
-  kGompBarrierWaitDisseminationNs,
-  kGompBarrierWaitHierarchicalNs,
+  kGompBarrierWaitNs,
   kGompDoorbellWakeNs,  // doorbell ring -> worker starts the region body
   kGompLeaseWaitNs,     // time a master waited for contended worker leases
   kMrapiMutexAcquireNs,

@@ -318,16 +318,6 @@ std::string_view category_of(Type t) {
   }
 }
 
-std::string_view barrier_kind_name(std::uint64_t k) {
-  switch (k) {
-    case 0: return "central";
-    case 1: return "tree";
-    case 2: return "dissemination";
-    case 3: return "hierarchical";
-    default: return "?";
-  }
-}
-
 /// Renders the two payload words with type-appropriate key names.
 void append_args(std::string& s, const Event& e) {
   auto kv = [&s](const char* key, std::uint64_t v, bool first = false) {
@@ -353,9 +343,7 @@ void append_args(std::string& s, const Event& e) {
       kv("epoch", e.a0, true);
       break;
     case Type::kBarrier:
-      s += "\"kind\":\"";
-      s += barrier_kind_name(e.a0);
-      s += "\"";
+      kv("groups", e.a0, true);
       kv("width", e.a1);
       break;
     case Type::kBarrierTier:
@@ -552,10 +540,6 @@ void dump_flight_record(const char* reason) {
           append_u64(s, e.a0);
           s += " key=";
           append_u64(s, e.a1);
-          break;
-        case Type::kBarrier:
-          s += " kind=";
-          s += barrier_kind_name(e.a0);
           break;
         default:
           s += " a0=";

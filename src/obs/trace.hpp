@@ -48,8 +48,8 @@ enum class Type : std::uint32_t {
   kWorkerWake,     // instant: worker observed the ticket; a0=epoch
   kWorkerWork,     // worker runs the region body; a0=epoch
   kJoinWait,       // master waits for the join counter; a0=epoch
-  kBarrier,        // a0=barrier kind (BarrierKind), a1=team width
-  kBarrierTier,    // hierarchical barrier wait (full mode only): a0=tier
+  kBarrier,        // a0=cluster groups, a1=team width
+  kBarrierTier,    // two-tier barrier wait (full mode only): a0=tier
                    // (0=intra-cluster wait, 1=cluster leader crossing the
                    // CoreNet top tier), a1=cluster id
   // gomp worksharing.

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
 
+#include "common/align.hpp"
 #include "gomp/backend_mca.hpp"
 #include "gomp/backend_native.hpp"
 #include "gomp/runtime.hpp"
@@ -85,6 +87,31 @@ TEST_P(BackendTest, ManyAllocations) {
   for (void* p : ptrs) b->deallocate(p);
 }
 
+bool cache_line_aligned(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % kCacheLineBytes == 0;
+}
+
+// Cluster-homed blocks hold cache-line-aligned types (the barrier's
+// ClusterTier, the pool's DispatchSlot bank), so every path serving
+// allocate_on_cluster — the plain heap, the MCA arena, MCA heap mode —
+// must hand out cache-line-aligned storage.
+TEST_P(BackendTest, ClusterBlocksAreCacheLineAligned) {
+  auto b = make(GetParam());
+  std::vector<void*> ptrs;
+  for (unsigned i = 0; i < 64; ++i) {
+    const std::size_t bytes = 1 + (i * 37) % 700;  // mixed sizes
+    void* on_cluster = b->allocate_on_cluster(bytes, i % 3);
+    void* plain = b->allocate(bytes);
+    ASSERT_NE(on_cluster, nullptr);
+    ASSERT_NE(plain, nullptr);
+    EXPECT_TRUE(cache_line_aligned(on_cluster)) << bytes << " bytes";
+    EXPECT_TRUE(cache_line_aligned(plain)) << bytes << " bytes";
+    ptrs.push_back(on_cluster);
+    ptrs.push_back(plain);
+  }
+  for (void* p : ptrs) b->deallocate(p);
+}
+
 TEST_P(BackendTest, MutexProtectsCounter) {
   auto b = make(GetParam());
   auto mu = b->create_mutex();
@@ -156,6 +183,18 @@ TEST(McaBackendSpecific, AllocationsAreHeapModeShmem) {
   // (gomp allocations are keyed privately; just check we can free cleanly.)
   b.deallocate(p);
   EXPECT_EQ(b.failed_allocations(), 0u);
+}
+
+TEST(McaBackendSpecific, HeapFallbackBlocksAreCacheLineAligned) {
+  mrapi::Database::instance().configure_platform(
+      platform::Topology::t4240rdb());
+  McaBackend b(0);
+  // Larger than the 64 MiB system arena: the cluster-homed segment falls
+  // back to the process heap.  Never touched, so it costs no memory.
+  void* p = b.allocate_on_cluster((128u << 20) + 24, 0);
+  ASSERT_NE(p, nullptr);
+  EXPECT_TRUE(cache_line_aligned(p));
+  b.deallocate(p);
 }
 
 TEST(McaBackendSpecific, TwoBackendsShareOneDomain) {

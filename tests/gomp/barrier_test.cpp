@@ -10,11 +10,27 @@
 namespace ompmca::gomp {
 namespace {
 
+enum class Map { kOneCluster, kScatter, kSparse };
+
 struct BarrierCase {
-  BarrierKind kind;
   WaitPolicy policy;
   unsigned nthreads;
+  Map map;
 };
+
+std::vector<unsigned> cluster_map(Map map, unsigned nthreads) {
+  std::vector<unsigned> cluster_of_thread(nthreads);
+  for (unsigned i = 0; i < nthreads; ++i) {
+    switch (map) {
+      case Map::kOneCluster: cluster_of_thread[i] = 5; break;
+      // T4240-shaped scatter: threads round-robin over three clusters.
+      case Map::kScatter: cluster_of_thread[i] = i % 3; break;
+      // Uneven occupancy over non-contiguous cluster ids.
+      case Map::kSparse: cluster_of_thread[i] = (i % 4 == 1) ? 2 : 7; break;
+    }
+  }
+  return cluster_of_thread;
+}
 
 class BarrierParamTest : public ::testing::TestWithParam<BarrierCase> {};
 
@@ -22,15 +38,10 @@ class BarrierParamTest : public ::testing::TestWithParam<BarrierCase> {};
 // before every thread finished phase k.
 TEST_P(BarrierParamTest, SeparatesPhases) {
   const BarrierCase c = GetParam();
-  // T4240-shaped scatter map: threads round-robin over three clusters.  The
-  // flat kinds ignore it; the hierarchical kind derives its two tiers from
-  // it (and collapses to a tree when the map spans a single cluster).
-  std::vector<unsigned> cluster_of_thread(c.nthreads);
-  for (unsigned i = 0; i < c.nthreads; ++i) cluster_of_thread[i] = i % 3;
-  auto barrier =
-      make_barrier(c.kind, c.nthreads, c.policy, cluster_of_thread.data());
-  ASSERT_NE(barrier, nullptr);
-  EXPECT_EQ(barrier->size(), c.nthreads);
+  const std::vector<unsigned> cluster_of_thread =
+      cluster_map(c.map, c.nthreads);
+  HierarchicalBarrier barrier(c.nthreads, c.policy, cluster_of_thread.data());
+  EXPECT_EQ(barrier.size(), c.nthreads);
 
   constexpr int kPhases = 25;
   std::atomic<int> arrivals{0};
@@ -39,13 +50,13 @@ TEST_P(BarrierParamTest, SeparatesPhases) {
   auto worker = [&](unsigned tid) {
     for (int phase = 0; phase < kPhases; ++phase) {
       arrivals.fetch_add(1, std::memory_order_acq_rel);
-      barrier->arrive_and_wait(tid);
+      barrier.arrive_and_wait(tid);
       // After the barrier every thread of this phase must have arrived.
       if (arrivals.load(std::memory_order_acquire) <
           (phase + 1) * static_cast<int>(c.nthreads)) {
         violation.store(true);
       }
-      barrier->arrive_and_wait(tid);  // separate the read from next phase
+      barrier.arrive_and_wait(tid);  // separate the read from next phase
     }
   };
 
@@ -60,12 +71,10 @@ TEST_P(BarrierParamTest, SeparatesPhases) {
 
 std::vector<BarrierCase> all_cases() {
   std::vector<BarrierCase> cases;
-  for (BarrierKind kind :
-       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kDissemination,
-        BarrierKind::kHierarchical}) {
-    for (WaitPolicy policy : {WaitPolicy::kPassive, WaitPolicy::kActive}) {
-      for (unsigned n : {1u, 2u, 3u, 4u, 7u, 8u, 13u, 24u}) {
-        cases.push_back({kind, policy, n});
+  for (WaitPolicy policy : {WaitPolicy::kPassive, WaitPolicy::kActive}) {
+    for (unsigned n : {2u, 4u, 6u, 24u}) {
+      for (Map map : {Map::kOneCluster, Map::kScatter, Map::kSparse}) {
+        cases.push_back({policy, n, map});
       }
     }
   }
@@ -73,112 +82,20 @@ std::vector<BarrierCase> all_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllAlgorithms, BarrierParamTest, ::testing::ValuesIn(all_cases()),
+    PolicyWidthMap, BarrierParamTest, ::testing::ValuesIn(all_cases()),
     [](const ::testing::TestParamInfo<BarrierCase>& param_info) {
       const auto& c = param_info.param;
-      return std::string(to_string(c.kind)) + "_" +
-             (c.policy == WaitPolicy::kPassive ? "passive" : "active") + "_" +
-             std::to_string(c.nthreads);
+      const char* map = c.map == Map::kOneCluster ? "one_cluster"
+                        : c.map == Map::kScatter  ? "scatter"
+                                                  : "sparse";
+      return std::string(c.policy == WaitPolicy::kPassive ? "passive"
+                                                          : "active") +
+             "_" + std::to_string(c.nthreads) + "_" + map;
     });
 
-TEST(Barrier, SingleThreadIsNoOp) {
-  for (BarrierKind kind :
-       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kDissemination,
-        BarrierKind::kHierarchical}) {
-    auto b = make_barrier(kind, 1, WaitPolicy::kPassive);
-    for (int i = 0; i < 100; ++i) b->arrive_and_wait(0);  // must not hang
-  }
-}
-
-TEST(Barrier, KindNames) {
-  EXPECT_EQ(to_string(BarrierKind::kCentral), "central");
-  EXPECT_EQ(to_string(BarrierKind::kTree), "tree");
-  EXPECT_EQ(to_string(BarrierKind::kDissemination), "dissemination");
-  EXPECT_EQ(to_string(BarrierKind::kHierarchical), "hierarchical");
-  EXPECT_EQ(to_string(BarrierKind::kAuto), "auto");
-}
-
-TEST(Barrier, ParseKindRoundTrips) {
-  BarrierKind k;
-  ASSERT_TRUE(parse_barrier_kind("central", &k));
-  EXPECT_EQ(k, BarrierKind::kCentral);
-  ASSERT_TRUE(parse_barrier_kind("tree", &k));
-  EXPECT_EQ(k, BarrierKind::kTree);
-  ASSERT_TRUE(parse_barrier_kind("dissemination", &k));
-  EXPECT_EQ(k, BarrierKind::kDissemination);
-  ASSERT_TRUE(parse_barrier_kind("hier", &k));
-  EXPECT_EQ(k, BarrierKind::kHierarchical);
-  ASSERT_TRUE(parse_barrier_kind("hierarchical", &k));
-  EXPECT_EQ(k, BarrierKind::kHierarchical);
-  ASSERT_TRUE(parse_barrier_kind("auto", &k));
-  EXPECT_EQ(k, BarrierKind::kAuto);
-  EXPECT_FALSE(parse_barrier_kind("bogus", &k));
-  EXPECT_FALSE(parse_barrier_kind("", &k));
-}
-
-TEST(TreeBarrier, ArityMatchesClusterWidth) {
-  EXPECT_EQ(TreeBarrier::kArity, 4u);
-}
-
-// Dissemination is inherently flag-spinning; a passive-policy request must
-// get a blockable algorithm (the tree barrier) instead of a silent spin.
-TEST(Barrier, PassiveDisseminationFallsBackToTree) {
-  EXPECT_EQ(
-      effective_barrier_kind(BarrierKind::kDissemination, WaitPolicy::kPassive),
-      BarrierKind::kTree);
-  EXPECT_EQ(
-      effective_barrier_kind(BarrierKind::kDissemination, WaitPolicy::kActive),
-      BarrierKind::kDissemination);
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kCentral, WaitPolicy::kPassive),
-            BarrierKind::kCentral);
-
-  auto passive =
-      make_barrier(BarrierKind::kDissemination, 4, WaitPolicy::kPassive);
-  EXPECT_NE(dynamic_cast<TreeBarrier*>(passive.get()), nullptr);
-  auto active =
-      make_barrier(BarrierKind::kDissemination, 4, WaitPolicy::kActive);
-  EXPECT_NE(dynamic_cast<DisseminationBarrier*>(active.get()), nullptr);
-}
-
-// kAuto is a request-only value: it resolves to hierarchical exactly when
-// the team spans more than one cluster, and never survives resolution.
-TEST(Barrier, AutoResolvesByClusterSpan) {
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, WaitPolicy::kPassive, 3),
-            BarrierKind::kHierarchical);
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, WaitPolicy::kActive, 2),
-            BarrierKind::kHierarchical);
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, WaitPolicy::kPassive, 1),
-            BarrierKind::kCentral);
-  // The 2-arg convenience overload assumes a single cluster.
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, WaitPolicy::kActive),
-            BarrierKind::kCentral);
-}
-
-// A hierarchical request on a single-cluster team (e.g. Topology::generic()
-// places everything in cluster 0) must collapse to the flat tree: two tiers
-// with a top width of one would be pure overhead.
-TEST(Barrier, HierarchicalCollapsesToTreeOnSingleCluster) {
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kHierarchical,
-                                   WaitPolicy::kPassive, 1),
-            BarrierKind::kTree);
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kHierarchical,
-                                   WaitPolicy::kActive, 2),
-            BarrierKind::kHierarchical);
-
-  const std::vector<unsigned> one_cluster(8, 5u);  // all on hw cluster 5
-  auto collapsed = make_barrier(BarrierKind::kHierarchical, 8,
-                                WaitPolicy::kPassive, one_cluster.data());
-  EXPECT_NE(dynamic_cast<TreeBarrier*>(collapsed.get()), nullptr);
-
-  // nullptr map means "single cluster" by contract.
-  auto no_map =
-      make_barrier(BarrierKind::kHierarchical, 8, WaitPolicy::kPassive);
-  EXPECT_NE(dynamic_cast<TreeBarrier*>(no_map.get()), nullptr);
-
-  const std::vector<unsigned> two_clusters{0, 1, 0, 1};
-  auto real = make_barrier(BarrierKind::kHierarchical, 4, WaitPolicy::kPassive,
-                           two_clusters.data());
-  EXPECT_NE(dynamic_cast<HierarchicalBarrier*>(real.get()), nullptr);
+TEST(HierarchicalBarrier, SingleThreadIsNoOp) {
+  HierarchicalBarrier b(1, WaitPolicy::kPassive, nullptr);
+  for (int i = 0; i < 100; ++i) b.arrive_and_wait(0);  // must not hang
 }
 
 TEST(HierarchicalBarrier, GroupCountMatchesOccupiedClusters) {
@@ -193,6 +110,15 @@ TEST(HierarchicalBarrier, GroupCountMatchesOccupiedClusters) {
   const std::vector<unsigned> sparse{7, 2, 7, 7};
   HierarchicalBarrier s(4, WaitPolicy::kActive, sparse.data());
   EXPECT_EQ(s.num_cluster_groups(), 2u);
+
+  // One cluster, or no map at all: a single group.
+  const std::vector<unsigned> one(8, 5u);
+  EXPECT_EQ(HierarchicalBarrier(8, WaitPolicy::kPassive, one.data())
+                .num_cluster_groups(),
+            1u);
+  EXPECT_EQ(HierarchicalBarrier(8, WaitPolicy::kPassive, nullptr)
+                .num_cluster_groups(),
+            1u);
 }
 
 // A counting ClusterMemory: hands out heap blocks but records which cluster

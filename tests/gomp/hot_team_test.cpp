@@ -198,6 +198,27 @@ TEST_P(HotTeamTest, NestedTwoInTwoRegionsStayCorrect) {
   }
 }
 
+// The barrier is laid out per cluster, so a re-armed team whose map moved
+// and spans more than one cluster, before or after, gets a new barrier.
+TEST_P(HotTeamTest, MovedMultiClusterMapRebuildsTheBarrier) {
+  Runtime rt = make_runtime(GetParam(), 6);
+  auto groups = [&rt] {
+    unsigned g = 0;
+    rt.parallel([&g](ParallelContext& ctx) {
+      if (ctx.thread_num() == 0) {
+        g = ctx.team().team_barrier()->num_cluster_groups();
+      }
+      ctx.barrier();
+    });
+    return g;
+  };
+  EXPECT_EQ(groups(), 3u);  // spread: two threads in each T4240 cluster
+  rt.icvs().proc_bind = ProcBind::kClose;
+  EXPECT_EQ(groups(), 1u);  // close: all six in cluster 0
+  rt.icvs().proc_bind = ProcBind::kSpread;
+  EXPECT_EQ(groups(), 3u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BothBackends, HotTeamTest,
     ::testing::Values(BackendKind::kNative, BackendKind::kMca),

@@ -331,36 +331,30 @@ TEST_P(RuntimeBackendTest, MetersAccumulatePerThread) {
   }
 }
 
-TEST_P(RuntimeBackendTest, AllBarrierAlgorithmsWorkEndToEnd) {
-  for (BarrierKind kind :
-       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kDissemination,
-        BarrierKind::kHierarchical, BarrierKind::kAuto}) {
+// The team barrier gets one group per occupied cluster: a close-bound
+// 6-wide team packs into one T4240 cluster, a spread-bound one scatters two
+// threads into each of the three.  Both shapes must separate phases.
+TEST_P(RuntimeBackendTest, BarrierGroupsFollowPlacement) {
+  for (ProcBind bind : {ProcBind::kClose, ProcBind::kSpread}) {
     auto opts = options_for(GetParam(), 6);
-    opts.barrier = kind;
+    opts.icvs->proc_bind = bind;
     Runtime rt(opts);
     std::atomic<long> total{0};
+    std::atomic<bool> violation{false};
     rt.parallel([&](ParallelContext& ctx) {
-      for (int phase = 0; phase < 10; ++phase) {
+      if (ctx.thread_num() == 0) {
+        EXPECT_EQ(ctx.team().team_barrier()->num_cluster_groups(),
+                  bind == ProcBind::kClose ? 1u : 3u);
+      }
+      for (long phase = 0; phase < 10; ++phase) {
         total.fetch_add(1);
         ctx.barrier();
+        if (total.load() < 6 * (phase + 1)) violation.store(true);
       }
     });
     EXPECT_EQ(total.load(), 60);
+    EXPECT_FALSE(violation.load());
   }
-}
-
-TEST_P(RuntimeBackendTest, AutoBarrierResolvesToHierarchicalAcrossClusters) {
-  // Default scatter placement spreads even a small team over all three
-  // clusters, so the kAuto default must land on the hierarchical barrier.
-  auto opts = options_for(GetParam(), 6);
-  ASSERT_EQ(opts.barrier, BarrierKind::kAuto);
-  Runtime rt(opts);
-  rt.parallel([&](ParallelContext& ctx) {
-    if (ctx.thread_num() == 0) {
-      EXPECT_EQ(ctx.team().barrier_kind(), BarrierKind::kHierarchical);
-    }
-    ctx.barrier();
-  });
 }
 
 TEST_P(RuntimeBackendTest, WidthOneTeamTakesFastPath) {
@@ -416,9 +410,8 @@ TEST_P(RuntimeBackendTest, NestedTeamGetsBubblePlacement) {
             for (unsigned t = 0; t < inner.num_threads(); ++t) {
               EXPECT_EQ(team.cluster_of_thread(t), home);
             }
-            // Single-cluster team: the hierarchical request collapses, so
-            // the effective kind is never kHierarchical here.
-            EXPECT_NE(team.barrier_kind(), BarrierKind::kHierarchical);
+            // Single-cluster team: one barrier group, no top tier.
+            EXPECT_EQ(team.team_barrier()->num_cluster_groups(), 1u);
           }
           inner.barrier();
         },

@@ -152,11 +152,13 @@ TEST(TaskRegression, SpawnWakesParkedGroupWaitWaiter) {
 
 // --- taskgroup must include descendants of stolen tasks ----------------------
 //
-// The taskgroup body spawns T and spins until T starts — which can only
-// happen on the *other* thread (it reaches the implicit barrier and drains
-// the queue).  T then spawns grandchild G.  On the seed, G was attached to
-// the executing thread's (empty) construct state and escaped the group, so
-// taskgroup end returned while G — deliberately slow — was still pending.
+// Thread 0's taskgroup body spawns T and spins until T starts — which can
+// only happen on thread 1: it reaches the barrier only after T is queued,
+// and the barrier's task drain steals T.  (A barrier wait itself runs no
+// tasks, so thread 1 must not reach it before the spawn.)  T then spawns
+// grandchild G.  On the seed, G was attached to the executing thread's
+// (empty) construct state and escaped the group, so taskgroup end returned
+// while G — deliberately slow — was still pending.
 TEST(TaskRegression, TaskgroupWaitsForDescendantsOfStolenTasks) {
   RuntimeOptions opts;
   Icvs icvs;
@@ -164,12 +166,13 @@ TEST(TaskRegression, TaskgroupWaitsForDescendantsOfStolenTasks) {
   opts.icvs = icvs;
   Runtime rt(opts);
 
+  std::atomic<bool> stolen_task_spawned{false};
   std::atomic<bool> stolen_task_started{false};
   std::atomic<bool> grandchild_done{false};
   std::atomic<bool> group_waited_for_grandchild{false};
 
   rt.parallel([&](ParallelContext& ctx) {
-    ctx.single([&] {
+    if (ctx.thread_num() == 0) {
       ctx.taskgroup([&] {
         ctx.task([&] {
           stolen_task_started.store(true);
@@ -180,12 +183,16 @@ TEST(TaskRegression, TaskgroupWaitsForDescendantsOfStolenTasks) {
             grandchild_done.store(true);
           });
         });
+        stolen_task_spawned.store(true);
         // Keep this thread inside the body until the other thread picked
         // the task up, so the spawn above really happens "stolen".
         ASSERT_TRUE(spin_until([&] { return stolen_task_started.load(); }));
       });
       group_waited_for_grandchild.store(grandchild_done.load());
-    });
+    } else {
+      EXPECT_TRUE(spin_until([&] { return stolen_task_spawned.load(); }));
+    }
+    ctx.barrier();
   });
   EXPECT_TRUE(group_waited_for_grandchild.load())
       << "taskgroup end returned before a stolen task's child completed";

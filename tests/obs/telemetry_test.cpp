@@ -49,14 +49,14 @@ TEST(Telemetry, CountersAccumulateAcrossThreads) {
 TEST(Telemetry, HistogramBucketsArePowersOfTwo) {
   ScopedEnable scope;
   // Bucket b >= 1 covers [2^(b-1), 2^b); bucket 0 holds zero samples.
-  record(Hist::kGompBarrierWaitCentralNs, 0);     // bucket 0
-  record(Hist::kGompBarrierWaitCentralNs, 1);     // bucket 1: [1, 2)
-  record(Hist::kGompBarrierWaitCentralNs, 2);     // bucket 2: [2, 4)
-  record(Hist::kGompBarrierWaitCentralNs, 3);     // bucket 2
-  record(Hist::kGompBarrierWaitCentralNs, 1024);  // bucket 11: [1024, 2048)
-  record(Hist::kGompBarrierWaitCentralNs, 2047);  // bucket 11
+  record(Hist::kGompBarrierWaitNs, 0);     // bucket 0
+  record(Hist::kGompBarrierWaitNs, 1);     // bucket 1: [1, 2)
+  record(Hist::kGompBarrierWaitNs, 2);     // bucket 2: [2, 4)
+  record(Hist::kGompBarrierWaitNs, 3);     // bucket 2
+  record(Hist::kGompBarrierWaitNs, 1024);  // bucket 11: [1024, 2048)
+  record(Hist::kGompBarrierWaitNs, 2047);  // bucket 11
   Snapshot s = Registry::instance().snapshot();
-  const HistogramData& h = s.hist(Hist::kGompBarrierWaitCentralNs);
+  const HistogramData& h = s.hist(Hist::kGompBarrierWaitNs);
   EXPECT_EQ(h.count, 6u);
   EXPECT_EQ(h.sum_ns, 0u + 1 + 2 + 3 + 1024 + 2047);
   EXPECT_EQ(h.max_ns, 2047u);
@@ -146,13 +146,13 @@ TEST(Telemetry, ScopedTimerRecordsPlausibleDuration) {
 TEST(Telemetry, JsonReportContainsAllSections) {
   ScopedEnable scope;
   count(Counter::kGompParallel, 3);
-  record(Hist::kGompBarrierWaitCentralNs, 512);
+  record(Hist::kGompBarrierWaitNs, 512);
   gauge_max(Gauge::kGompTaskQueueDepthHwm, 7);
   placement(2, 4);
   std::string json = Registry::instance().json("unit-test");
   EXPECT_NE(json.find("\"tag\": \"unit-test\""), std::string::npos);
   EXPECT_NE(json.find("\"gomp.parallel\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"gomp.barrier_wait.central_ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"gomp.barrier_wait_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"le_ns\": 1024, \"count\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"gomp.task_queue_depth_hwm\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"cluster2\": 4"), std::string::npos);
@@ -164,10 +164,6 @@ TEST(Telemetry, JsonReportContainsAllSections) {
 TEST(Telemetry, RuntimeDirectivesAreObserved) {
   ScopedEnable scope;
   gomp::RuntimeOptions opts;
-  // Pin the central barrier: the kAuto default resolves to hierarchical for
-  // this team (4 scatter-placed threads span 3 clusters), and this test
-  // asserts against the central wait histogram specifically.
-  opts.barrier = gomp::BarrierKind::kCentral;
   gomp::Icvs icvs;
   icvs.num_threads = 4;
   opts.icvs = icvs;
@@ -194,7 +190,7 @@ TEST(Telemetry, RuntimeDirectivesAreObserved) {
   // for (barrier) + explicit + single + 2x reduce + implicit, per thread.
   EXPECT_GE(s.counter(Counter::kGompBarrier), 4u * 5u);
   EXPECT_EQ(s.hist(Hist::kGompParallelNs).count, 1u);
-  EXPECT_GE(s.hist(Hist::kGompBarrierWaitCentralNs).count,
+  EXPECT_GE(s.hist(Hist::kGompBarrierWaitNs).count,
             s.counter(Counter::kGompBarrier));
   // Three pool workers were handed the region.
   EXPECT_EQ(s.counter(Counter::kGompPoolDispatch), 3u);
@@ -204,7 +200,6 @@ TEST(Telemetry, RuntimeDirectivesAreObserved) {
 TEST(Telemetry, HierarchicalBarrierCrossesCoreNetOncePerCluster) {
   ScopedEnable scope;
   gomp::RuntimeOptions opts;
-  opts.barrier = gomp::BarrierKind::kHierarchical;
   gomp::Icvs icvs;
   icvs.num_threads = 6;  // scatter: 2 threads in each of the 3 clusters
   opts.icvs = icvs;
@@ -223,31 +218,34 @@ TEST(Telemetry, HierarchicalBarrierCrossesCoreNetOncePerCluster) {
   EXPECT_EQ((local + xcluster) % 6, 0u);
   EXPECT_GE(xcluster, 3u * kExplicitBarriers);
   EXPECT_EQ(local, xcluster);  // 1 leader + 1 local waiter per cluster
-  EXPECT_GE(s.hist(Hist::kGompBarrierWaitHierarchicalNs).count,
+  EXPECT_GE(s.hist(Hist::kGompBarrierWaitNs).count,
             1u * kExplicitBarriers);
 }
 
-TEST(Telemetry, CentralBarrierCrossesCoreNetPerRemoteThread) {
+// A team whose threads share one cluster (every team on a one-cluster
+// topology) has a single barrier group: its last arriver releases the team
+// directly, so no arrival ever counts as a CoreNet crossing.
+TEST(Telemetry, OneClusterTeamNeverCrossesCoreNet) {
   ScopedEnable scope;
   gomp::RuntimeOptions opts;
-  opts.barrier = gomp::BarrierKind::kCentral;
+  opts.topology = platform::Topology::generic(4);
   gomp::Icvs icvs;
-  icvs.num_threads = 6;  // same shape as the hierarchical witness above
+  icvs.num_threads = 4;
   opts.icvs = icvs;
   gomp::Runtime rt(opts);
 
+  constexpr std::uint64_t kExplicitBarriers = 10;
   rt.parallel([&](gomp::ParallelContext& ctx) {
-    for (int i = 0; i < 10; ++i) ctx.barrier();
+    if (ctx.thread_num() == 0) {
+      EXPECT_EQ(ctx.team().team_barrier()->num_cluster_groups(), 1u);
+    }
+    for (std::uint64_t i = 0; i < kExplicitBarriers; ++i) ctx.barrier();
   });
 
   Snapshot s = Registry::instance().snapshot();
-  const std::uint64_t local = s.counter(Counter::kGompBarrierLocal);
-  const std::uint64_t xcluster = s.counter(Counter::kGompBarrierXCluster);
-  // Flat barrier: 4 of the 6 threads live outside the master's cluster, so
-  // cross-cluster arrivals run O(n) — double the hierarchical count for
-  // the identical team shape.
-  EXPECT_EQ(xcluster, 2u * local);
-  EXPECT_GT(xcluster, 0u);
+  EXPECT_EQ(s.counter(Counter::kGompBarrierXCluster), 0u);
+  EXPECT_EQ(s.counter(Counter::kGompBarrierLocal), 4u * kExplicitBarriers);
+  EXPECT_EQ(s.counter(Counter::kGompBarrier), 4u * kExplicitBarriers);
 }
 
 TEST(Telemetry, NestedBubbleTeamsAreCounted) {

@@ -265,7 +265,7 @@ TEST(Trace, SpanRecordsDuration) {
 
 TEST(Trace, ExportedJsonParsesAndRoundTripsEventCounts) {
   ScopedTrace scoped(Mode::kRing);
-  instant(Type::kBarrier, 0, 4);
+  instant(Type::kBarrier, 3, 4);
   complete(Type::kFor, monotonic_nanos() - 1000, 1);
   instant(Type::kSteal, 3, 1);
   instant_at(Type::kForkRing, monotonic_nanos(), 42, 4);
@@ -281,7 +281,7 @@ TEST(Trace, ExportedJsonParsesAndRoundTripsEventCounts) {
   EXPECT_EQ(count_occurrences(json, "\"ph\":\"s\""), 1u);
   EXPECT_EQ(count_occurrences(json, "\"ph\":\"f\""), 1u);
   EXPECT_NE(json.find("\"name\":\"barrier\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"central\""), std::string::npos);
+  EXPECT_NE(json.find("\"groups\":3,\"width\":4"), std::string::npos);
 }
 
 TEST(Trace, RealForkEmitsMatchingFlowEvents) {
