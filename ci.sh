@@ -97,15 +97,23 @@ else
 fi
 
 echo "== [8/14] flight-recorder trace export =="
-# Runs the EPCC bench with tracing armed and validates the exported Chrome
-# trace JSON strictly (json.tool); the analyzer pass is informational.  The
+# Runs the EPCC bench with tracing armed, validates the exported Chrome
+# trace JSON strictly, and requires the fork/join event names
+# analyze_trace.py keys on; the analyzer pass is informational.  The
 # bench's own PASS/FAIL is timing-sensitive on loaded CI hosts, so only the
 # trace pipeline is load-bearing here.
 if command -v python3 >/dev/null 2>&1; then
   OMPMCA_TRACE=ring ./build/bench/table1_epcc_overhead --quick --json \
     --trace=build/trace_ci_epcc.json >/dev/null || true
-  python3 -m json.tool build/trace_ci_epcc.json >/dev/null
-  echo "trace export: build/trace_ci_epcc.json is well-formed JSON"
+  python3 - build/trace_ci_epcc.json <<'EOF'
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+names = {e.get("name") for e in events}
+required = {"parallel", "fork_ring", "worker_wake", "worker_work", "barrier"}
+missing = sorted(required - names)
+assert not missing, f"trace is missing events: {missing}"
+print(f"trace export: {len(events)} events, every fork/join event present")
+EOF
   python3 bench/analyze_trace.py build/trace_ci_epcc.json || true
 else
   echo "python3 not installed; skipping trace validation"

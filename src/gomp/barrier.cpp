@@ -6,8 +6,6 @@
 #include "check/check.hpp"
 #include "common/spin.hpp"
 #include "common/time.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace ompmca::gomp {
 
@@ -57,23 +55,22 @@ HierarchicalBarrier::~HierarchicalBarrier() {
   }
 }
 
-void HierarchicalBarrier::arrive_and_wait(unsigned tid) {
+void HierarchicalBarrier::arrive_and_wait(unsigned tid,
+                                          const obs::Probe& probe) {
   OMPMCA_CHECK_BARRIER_HELD();
   const bool my_sense = local_sense_[tid].value;
   local_sense_[tid].value = !my_sense;
   const unsigned g = group_of_thread_[tid];
   ClusterTier& tier = *groups_[g];
   const unsigned ngroups = static_cast<unsigned>(groups_.size());
-  const bool tracing = obs::trace::verbose();
-  const std::uint64_t t0 = tracing ? monotonic_nanos() : 0;
 
   const unsigned arrived = tier.count.fetch_add(1, std::memory_order_acq_rel);
   const bool leader = arrived + 1 == tier.expected;
   // Group leaders are the only threads that touch the top tier, so CoreNet
   // crossings per phase == occupied clusters; a one-group team has no top
   // tier and never crosses.
-  obs::count(leader && ngroups > 1 ? obs::Counter::kGompBarrierXCluster
-                                   : obs::Counter::kGompBarrierLocal);
+  probe.count(leader && ngroups > 1 ? obs::Counter::kGompBarrierXCluster
+                                    : obs::Counter::kGompBarrierLocal);
   if (leader) {
     tier.count.store(0, std::memory_order_relaxed);
     const bool final_leader =
@@ -98,9 +95,9 @@ void HierarchicalBarrier::arrive_and_wait(unsigned tid) {
     }
     // The leader-tier span covers only the top-tier crossing; a leader that
     // was not last then waits on its own group's flag like everyone else.
-    if (tracing && ngroups > 1) {
-      obs::trace::complete(obs::trace::Type::kBarrierTier, t0, /*tier=*/1,
-                           cluster_of_group_[g]);
+    if (probe.verbose() && ngroups > 1) {
+      probe.emit(obs::trace::Type::kBarrierTier, probe.begin_ns(),
+                 monotonic_nanos(), /*tier=*/1, cluster_of_group_[g]);
     }
     if (final_leader) return;
   }
@@ -115,9 +112,9 @@ void HierarchicalBarrier::arrive_and_wait(unsigned tid) {
     while (tier.sense.load(std::memory_order_acquire) != my_sense)
       backoff.pause();
   }
-  if (tracing && !leader) {
-    obs::trace::complete(obs::trace::Type::kBarrierTier, t0, /*tier=*/0,
-                         cluster_of_group_[g]);
+  if (probe.verbose() && !leader) {
+    probe.emit(obs::trace::Type::kBarrierTier, probe.begin_ns(),
+               monotonic_nanos(), /*tier=*/0, cluster_of_group_[g]);
   }
 }
 

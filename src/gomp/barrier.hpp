@@ -36,6 +36,7 @@
 #include "common/annotations.hpp"
 #include "common/locks.hpp"
 #include "gomp/icv.hpp"
+#include "obs/spine.hpp"
 
 namespace ompmca::gomp {
 
@@ -71,8 +72,10 @@ class HierarchicalBarrier {
   HierarchicalBarrier(const HierarchicalBarrier&) = delete;
   HierarchicalBarrier& operator=(const HierarchicalBarrier&) = delete;
 
-  /// Blocks until all @c size() threads have arrived.  Reusable.
-  void arrive_and_wait(unsigned tid);
+  /// Blocks until all @c size() threads have arrived.  Reusable.  The
+  /// arrival-locality counters and full-mode tier spans ride on @p probe's
+  /// gate load and start time (the team barrier's own probe).
+  void arrive_and_wait(unsigned tid, const obs::Probe& probe = obs::Probe());
   unsigned size() const { return n_; }
 
   /// Occupied clusters = top-tier width = cross-cluster arrivals per phase

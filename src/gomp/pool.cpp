@@ -16,7 +16,6 @@
 #include "common/time.hpp"
 #include "fault/fault.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace ompmca::gomp {
 
@@ -268,31 +267,28 @@ void ThreadPool::worker_loop(Bell& bell, std::uint64_t seen) {
     // So every observed word is exactly one region to serve.
     DispatchSlot& slot = slots_[assign_slot(a)];
     const unsigned tid = assign_tid(a);
-    if (slot.dispatch_start_ns != 0) {
-      // dispatch_start_ns is armed by start_team when telemetry or
-      // tracing is on; both consumers share the single clock read.
-      const std::uint64_t now = monotonic_nanos();
-      if (obs::enabled()) {
-        obs::count(obs::Counter::kGompPoolDispatch);
-        obs::record(obs::Hist::kGompDoorbellWakeNs,
-                    now - slot.dispatch_start_ns);
-      }
-      // Flow-arrow target: fork_ring (master) -> worker_wake, keyed by
-      // the global dispatch sequence the mailbox word carries.
-      obs::trace::instant_at(obs::trace::Type::kWorkerWake, now,
-                             assign_seq(a));
-    }
-    // Heartbeat parity for the stall watchdog: capture armed() once so
-    // both bumps happen or neither — a monitor started or stopped
-    // mid-region must not leave the epoch odd forever.
-    const bool hb = obs::monitor::armed();
-    if (hb) bell.heartbeat.fetch_add(1, std::memory_order_relaxed);
     {
-      obs::trace::Span work_span(obs::trace::Type::kWorkerWork,
-                                 assign_seq(a));
+      // One gate load and one clock read serve the wake metrics, the wake
+      // instant, the heartbeats and the work span.
+      obs::Probe work(obs::trace::Type::kWorkerWork, assign_seq(a));
+      const std::uint64_t woke = work.begin_ns();
+      if (slot.dispatch_start_ns != 0 && woke != 0) {
+        // start_team stamps dispatch_start_ns whenever a gate bit is set.
+        work.count(obs::Counter::kGompPoolDispatch);
+        work.record(obs::Hist::kGompDoorbellWakeNs,
+                    woke - slot.dispatch_start_ns);
+        // Flow-arrow target: fork_ring (master) -> worker_wake, keyed by
+        // the global dispatch sequence the mailbox word carries.
+        work.emit(obs::trace::Type::kWorkerWake, woke, woke, assign_seq(a));
+      }
+      // Heartbeat parity for the stall watchdog: one gate snapshot decides
+      // both bumps, so a monitor started or stopped mid-region cannot
+      // leave the epoch odd forever.
+      const bool hb = work.monitored();
+      if (hb) bell.heartbeat.fetch_add(1, std::memory_order_relaxed);
       slot.work(tid);
+      if (hb) bell.heartbeat.fetch_add(1, std::memory_order_relaxed);
     }
-    if (hb) bell.heartbeat.fetch_add(1, std::memory_order_relaxed);
     // seq_cst: Dekker pair with wait_team — the decrement is ordered
     // before the join_waiting load, the master's join_waiting store
     // before its active re-check.  Only the last finisher — and only
@@ -506,20 +502,20 @@ void ThreadPool::start_team(Dispatch& d, unsigned nthreads,
   const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   slot.work = fn;
   slot.seq = seq;
-  slot.dispatch_start_ns =
-      (obs::enabled() || obs::trace::enabled()) ? monotonic_nanos() : 0;
+  // The ring's probe: its clock read is the doorbell timestamp the wake
+  // latency, the fork_ring instant and the watchdog's start all share.
+  const obs::Probe ring_probe;
+  slot.dispatch_start_ns = ring_probe.begin_ns();
   slot.active.store(extra, std::memory_order_relaxed);
-  if (obs::monitor::armed()) {
+  if (ring_probe.monitored()) {
     // Watchdog arm: mirrors first, then the start timestamp (release,
     // paired with the probe's acquire) so a probe that sees the region
     // in flight sees *this* region's identity, not the previous owner's.
     slot.mon_seq.store(seq, std::memory_order_relaxed);
     slot.mon_master.store(obs::tenant::current_id(), std::memory_order_relaxed);
     slot.mon_lease.store(d.lease_, std::memory_order_relaxed);
-    slot.mon_start_ns.store(
-        slot.dispatch_start_ns != 0 ? slot.dispatch_start_ns
-                                    : monotonic_nanos(),
-        std::memory_order_release);
+    slot.mon_start_ns.store(slot.dispatch_start_ns,
+                            std::memory_order_release);
   }
 
   // Two-phase ring, mirroring the old ticket-then-wake split: store every
@@ -539,11 +535,11 @@ void ThreadPool::start_team(Dispatch& d, unsigned nthreads,
         std::memory_order_seq_cst);
     to_ring |= std::uint64_t{1} << index;
   }
-  if (slot.dispatch_start_ns != 0 && extra > 0) {
+  if (extra > 0) {
     // The mailbox stores above ARE the doorbell ring; stamp them with the
     // same timestamp the wake-latency probes use so flow arrows line up.
-    obs::trace::instant_at(obs::trace::Type::kForkRing,
-                           slot.dispatch_start_ns, seq, extra + 1);
+    ring_probe.emit(obs::trace::Type::kForkRing, slot.dispatch_start_ns,
+                    slot.dispatch_start_ns, seq, extra + 1);
   }
   while (to_ring != 0) {
     const unsigned index = lowest_bit(to_ring);
@@ -558,7 +554,7 @@ void ThreadPool::wait_team(Dispatch& d, FunctionRef<void()> joined) {
   if (d.slot_ >= 0) {
     DispatchSlot& slot = slots_[static_cast<unsigned>(d.slot_)];
     if (slot.active.load(std::memory_order_acquire) != 0) {
-      obs::trace::Span join_span(obs::trace::Type::kJoinWait, slot.seq);
+      const obs::Probe join(obs::trace::Type::kJoinWait, slot.seq);
       // The region-ending barrier already synchronised the team, so only
       // the workers' post-barrier teardown is outstanding.  Relax-spin
       // briefly (no yields), then block on the slot's done_cv — the spin
@@ -585,7 +581,7 @@ void ThreadPool::wait_team(Dispatch& d, FunctionRef<void()> joined) {
       }
     }
     if (joined) joined();
-    // Watchdog disarm — gated on a relaxed load, not on armed(), so a
+    // Watchdog disarm — gated on the slot's own start, not on the gate, so a
     // monitor stopped mid-region still gets its stale start cleared (a
     // later monitor would otherwise flag a long-gone region), while an
     // unmonitored run pays exactly one relaxed load here.

@@ -13,8 +13,7 @@
 #include "gomp/backend_native.hpp"
 #include "mrapi/database.hpp"
 #include "obs/monitor.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/spine.hpp"
 
 namespace ompmca::gomp {
 
@@ -265,9 +264,10 @@ ParallelContext* Runtime::current() { return t_current_; }
 
 void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
                        unsigned num_threads) {
-  obs::count(obs::Counter::kGompParallel);
-  obs::ScopedTimer region_timer(obs::Hist::kGompParallelNs);
-  obs::trace::Span region_span(obs::trace::Type::kParallel);
+  // Region start is this probe's clock read: the histogram, the trace
+  // span and the tenant dispatch meter all measure from it.
+  obs::Probe probe(obs::Counter::kGompParallel, obs::Hist::kGompParallelNs,
+                   obs::trace::Type::kParallel);
   // Marks this runtime busy for the whole region, so gomp_compat_reset()
   // can refuse to destroy it out from under a live team.
   RegionInFlight in_flight(regions_in_flight_);
@@ -277,13 +277,13 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
   unsigned n = nested && !env_icvs().nested
                    ? 1
                    : resolve_num_threads(num_threads);
-  region_span.set_args(n, nested ? 1 : 0);
+  probe.set_args(n, nested ? 1 : 0);
 
   if (n == 1) {
     // Width-1 fast path: no doorbell ring, no pool join bookkeeping, and
     // the Team skips barrier construction entirely — a serialized region
     // costs a Team frame and nothing else.
-    if (!nested) obs::tenant::on_region(0, false);
+    if (!nested && probe.metrics()) obs::tenant::on_region(0, false);
     Team team(*this, 1, outer);
     team.run_thread(0, body);
     team.finish();
@@ -298,8 +298,6 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
   // own handles concurrently.  A nested master prefers its own cluster's
   // workers, the cluster its bubble placement prefers too.
   const unsigned requested = n;
-  const bool meter = obs::enabled() && !nested;
-  const std::uint64_t fork_t0 = meter ? monotonic_nanos() : 0;
   const unsigned preferred =
       nested ? outer->team().cluster_of_thread(outer->thread_num())
              : preferred_cluster_of_master(opts_.topology);
@@ -312,10 +310,11 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
                      : serial.emplace(*this, 1, outer);
   auto thread_fn = [&team, body](unsigned tid) { team.run_thread(tid, body); };
   pool_->start_team(dispatch, n, thread_fn);
-  if (meter) {
+  if (!nested && probe.metrics()) {
     // Tenant attribution: prepare-to-ring latency and whether lease
     // pressure or launch failures narrowed this master's team.
-    obs::tenant::on_region(monotonic_nanos() - fork_t0, n < requested);
+    obs::tenant::on_region(monotonic_nanos() - probe.begin_ns(),
+                           n < requested);
   }
   thread_fn(0);
   // finish() runs after the join but before the slot is released: the

@@ -4,10 +4,8 @@
 #include <cassert>
 
 #include "check/check.hpp"
-#include "common/time.hpp"
 #include "gomp/runtime.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace ompmca::gomp {
 
@@ -201,29 +199,20 @@ void ParallelContext::barrier() {
     OMPMCA_CHECK_BARRIER_HELD();
     return;
   }
-  if (obs::enabled() || obs::trace::enabled()) {
-    obs::count(obs::Counter::kGompBarrier);
-    const std::uint64_t t0 = monotonic_nanos();
-    team_->barrier_->arrive_and_wait(tid_);
-    if (obs::enabled()) {
-      obs::record(obs::Hist::kGompBarrierWaitNs, monotonic_nanos() - t0);
-    }
-    obs::trace::complete(obs::trace::Type::kBarrier, t0,
-                         team_->barrier_->num_cluster_groups(),
-                         team_->nthreads_);
-  } else {
-    team_->barrier_->arrive_and_wait(tid_);
-  }
+  // After the drain: the wait histogram times the barrier alone.
+  obs::Probe probe(obs::Counter::kGompBarrier, obs::Hist::kGompBarrierWaitNs,
+                   obs::trace::Type::kBarrier,
+                   team_->barrier_->num_cluster_groups(), team_->nthreads_);
+  team_->barrier_->arrive_and_wait(tid_, probe);
 }
 
 void ParallelContext::for_loop(long begin, long end,
                                FunctionRef<void(long, long)> body,
                                ScheduleSpec spec, bool nowait) {
-  obs::count(obs::Counter::kGompFor);
-  obs::ScopedTimer timer(obs::Hist::kGompForNs);
   if (spec.kind == Schedule::kRuntime) spec = team_->rt_.icvs().run_schedule;
-  obs::trace::Span span(obs::trace::Type::kFor,
-                        static_cast<std::uint64_t>(spec.kind));
+  obs::Probe probe(obs::Counter::kGompFor, obs::Hist::kGompForNs,
+                   obs::trace::Type::kFor,
+                   static_cast<std::uint64_t>(spec.kind));
   LoopInstance& loop = team_->loops_[loop_gen_ % kWorkshareRing];
   loop.enter(loop_gen_, begin, end, spec, team_->nthreads_,
              team_->cluster_of_thread_.data());
@@ -243,11 +232,10 @@ void ParallelContext::for_loop(long begin, long end,
 void ParallelContext::for_loop_ordered(long begin, long end,
                                        FunctionRef<void(long, long)> body,
                                        ScheduleSpec spec) {
-  obs::count(obs::Counter::kGompFor);
-  obs::ScopedTimer timer(obs::Hist::kGompForNs);
   if (spec.kind == Schedule::kRuntime) spec = team_->rt_.icvs().run_schedule;
-  obs::trace::Span span(obs::trace::Type::kFor,
-                        static_cast<std::uint64_t>(spec.kind));
+  obs::Probe probe(obs::Counter::kGompFor, obs::Hist::kGompForNs,
+                   obs::trace::Type::kFor,
+                   static_cast<std::uint64_t>(spec.kind));
   LoopInstance& loop = team_->loops_[loop_gen_ % kWorkshareRing];
   loop.enter(loop_gen_, begin, end, spec, team_->nthreads_,
              team_->cluster_of_thread_.data());
@@ -270,10 +258,9 @@ void ParallelContext::for_loop_ordered(long begin, long end,
 void ParallelContext::for_loop_simd(long begin, long end,
                                     FunctionRef<void(long, long)> body,
                                     long simd_width, bool nowait) {
-  obs::count(obs::Counter::kGompFor);
-  obs::ScopedTimer timer(obs::Hist::kGompForNs);
-  obs::trace::Span span(obs::trace::Type::kFor,
-                        static_cast<std::uint64_t>(Schedule::kStatic));
+  obs::Probe probe(obs::Counter::kGompFor, obs::Hist::kGompForNs,
+                   obs::trace::Type::kFor,
+                   static_cast<std::uint64_t>(Schedule::kStatic));
   if (simd_width < 1) simd_width = 1;
   OMPMCA_CHECK_REGION_ENTER(check::Region::kWorkshare, team_);
   const long total = end - begin;
@@ -357,9 +344,8 @@ bool ParallelContext::single_begin() {
 }
 
 void ParallelContext::single(FunctionRef<void()> fn, bool nowait) {
-  obs::count(obs::Counter::kGompSingle);
-  obs::ScopedTimer timer(obs::Hist::kGompSingleNs);
-  obs::trace::Span span(obs::trace::Type::kSingle);
+  obs::Probe probe(obs::Counter::kGompSingle, obs::Hist::kGompSingleNs,
+                   obs::trace::Type::kSingle);
   if (single_begin()) {
     OMPMCA_CHECK_REGION_ENTER(check::Region::kSingle, team_);
     fn();
@@ -384,32 +370,21 @@ void ParallelContext::critical(std::string_view name,
 void ParallelContext::run_critical(BackendMutex& mu,
                                    [[maybe_unused]] std::string_view name,
                                    FunctionRef<void()> fn) {
-  obs::trace::Span span(obs::trace::Type::kCritical);  // acquire + body
-  if (obs::enabled()) {
-    obs::count(obs::Counter::kGompCritical);
-    obs::ScopedTimer timer(obs::Hist::kGompCriticalNs);
-    // try_lock first so a blocked acquisition is observable as contention;
-    // a no-op (seeded-broken) mutex never blocks and counts zero here.
-    if (!mu.try_lock()) {
-      obs::count(obs::Counter::kGompCriticalContended);
-      mu.lock();
-    }
-    OMPMCA_CHECK_ACQUIRE(check::LockClass::kGompCritical, &mu,
-                         critical_key(name));
-    AdoptedBackendLock guard(mu);
-    OMPMCA_CHECK_REGION_ENTER(check::Region::kCritical, team_);
-    fn();
-    OMPMCA_CHECK_REGION_EXIT(check::Region::kCritical, team_);
-    OMPMCA_CHECK_RELEASE(check::LockClass::kGompCritical, &mu);
-  } else {
-    BackendLockGuard guard(mu);
-    OMPMCA_CHECK_ACQUIRE(check::LockClass::kGompCritical, &mu,
-                         critical_key(name));
-    OMPMCA_CHECK_REGION_ENTER(check::Region::kCritical, team_);
-    fn();
-    OMPMCA_CHECK_REGION_EXIT(check::Region::kCritical, team_);
-    OMPMCA_CHECK_RELEASE(check::LockClass::kGompCritical, &mu);
+  obs::Probe probe(obs::Counter::kGompCritical, obs::Hist::kGompCriticalNs,
+                   obs::trace::Type::kCritical);  // acquire + body
+  // try_lock first so a blocked acquisition is observable as contention;
+  // a no-op (seeded-broken) mutex never blocks and counts zero here.
+  if (!mu.try_lock()) {
+    probe.count(obs::Counter::kGompCriticalContended);
+    mu.lock();
   }
+  OMPMCA_CHECK_ACQUIRE(check::LockClass::kGompCritical, &mu,
+                       critical_key(name));
+  AdoptedBackendLock guard(mu);
+  OMPMCA_CHECK_REGION_ENTER(check::Region::kCritical, team_);
+  fn();
+  OMPMCA_CHECK_REGION_EXIT(check::Region::kCritical, team_);
+  OMPMCA_CHECK_RELEASE(check::LockClass::kGompCritical, &mu);
 }
 
 void ParallelContext::task(std::function<void()> fn) {

@@ -267,8 +267,7 @@ template <typename T, typename Op>
 T ParallelContext::reduce(T local, Op op) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "reduction type must be trivially copyable");
-  obs::count(obs::Counter::kGompReduction);
-  obs::ScopedTimer obs_timer(obs::Hist::kGompReductionNs);
+  obs::Probe probe(obs::Counter::kGompReduction, obs::Hist::kGompReductionNs);
   static_assert(sizeof(T) <= Team::kMaxReduceBytes,
                 "reduction type exceeds the per-thread slot");
   std::memcpy(team_->reduce_slots_[tid_].bytes.data(), &local, sizeof(T));

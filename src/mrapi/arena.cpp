@@ -51,10 +51,10 @@ void* SystemShmArena::allocate_in_pool(Pool& pool, std::size_t need) {
 
 Result<void*> SystemShmArena::allocate(std::size_t bytes,
                                        unsigned cluster_hint) {
-  obs::ScopedTimer timer(obs::Hist::kMrapiArenaAllocateNs);
+  const obs::Probe probe(obs::Hist::kMrapiArenaAllocateNs);
   if (bytes == 0) return Status::kInvalidArgument;
   if (OMPMCA_FAULT_POINT(kMrapiArenaAlloc)) {
-    obs::count(obs::Counter::kMrapiArenaAllocateFailed);
+    probe.count(obs::Counter::kMrapiArenaAllocateFailed);
     return Status::kOutOfResources;
   }
   const std::size_t need = align_up(bytes, kCacheLineBytes);
@@ -82,22 +82,22 @@ Result<void*> SystemShmArena::allocate(std::size_t bytes,
     void* p = allocate_in_pool(*pools_[ord[i].second], need);
     if (p == nullptr) continue;
     used_bytes_.fetch_add(need, std::memory_order_relaxed);
-    obs::count(obs::Counter::kMrapiArenaAllocate);
+    probe.count(obs::Counter::kMrapiArenaAllocate);
     if (hinted) {
-      obs::count(ord[i].second == cluster_hint
-                     ? obs::Counter::kMrapiArenaClusterLocal
-                     : obs::Counter::kMrapiArenaClusterSpill);
+      probe.count(ord[i].second == cluster_hint
+                      ? obs::Counter::kMrapiArenaClusterLocal
+                      : obs::Counter::kMrapiArenaClusterSpill);
     }
     obs::gauge_max(obs::Gauge::kMrapiArenaBytesInUseHwm,
                    used_bytes_.load(std::memory_order_relaxed));
     return p;
   }
-  obs::count(obs::Counter::kMrapiArenaAllocateFailed);
+  probe.count(obs::Counter::kMrapiArenaAllocateFailed);
   return Status::kOutOfResources;
 }
 
 Status SystemShmArena::release(void* ptr) {
-  obs::ScopedTimer timer(obs::Hist::kMrapiArenaReleaseNs);
+  const obs::Probe probe(obs::Hist::kMrapiArenaReleaseNs);
   // Validate the pointer against the arena's range as integers before doing
   // any pointer subtraction: `p - base` on a pointer that does not point
   // into storage_ is undefined behaviour and can wrap to a huge offset.
@@ -123,7 +123,7 @@ Status SystemShmArena::release(void* ptr) {
   pool->allocated.erase(it);
   pool->used -= size;
   used_bytes_.fetch_sub(size, std::memory_order_relaxed);
-  obs::count(obs::Counter::kMrapiArenaRelease);
+  probe.count(obs::Counter::kMrapiArenaRelease);
 
   // Insert and coalesce with the previous / next free block.
   auto [ins, inserted] = pool->free_list.emplace(offset, size);

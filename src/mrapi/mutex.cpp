@@ -3,25 +3,24 @@
 #include <chrono>
 
 #include "check/check.hpp"
-#include "common/time.hpp"
 #include "fault/fault.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace ompmca::mrapi {
 
 Status Mutex::lock(Timeout timeout_ms, LockKey* key) {
-  obs::ScopedTimer timer(obs::Hist::kMrapiMutexAcquireNs);
-  const std::uint64_t t0 = obs::trace::enabled() ? monotonic_nanos() : 0;
+  obs::Probe probe(obs::Hist::kMrapiMutexAcquireNs,
+                   obs::trace::Type::kMutexAcquire);
   MutexLock lk(mu_);
   // Contention is decided before lock_locked may block: someone else holds
   // the mutex right now.
   const bool contended =
       depth_ > 0 && owner_ != std::this_thread::get_id() && !retired_;
   const Status s = lock_locked(lk, timeout_ms, key);
-  if (t0 != 0 && s == Status::kSuccess) {
-    obs::trace::complete(obs::trace::Type::kMutexAcquire, t0,
-                         contended ? 1 : 0);
+  if (s == Status::kSuccess) {
+    probe.set_args(contended ? 1 : 0, 0);
+  } else {
+    probe.drop_event();  // the histogram still times the failed wait
   }
   return s;
 }

@@ -35,10 +35,7 @@ struct alignas(kCacheLineBytes) TenantSlab {
   std::atomic<std::uint64_t> regions{0};
   std::atomic<std::uint64_t> degraded{0};
   std::atomic<std::uint64_t> lease_wait_ns{0};
-  std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> sum_ns{0};
-  std::atomic<std::uint64_t> max_ns{0};
+  obs::detail::HistSlab dispatch;
 };
 
 struct TenantRegistry {
@@ -75,18 +72,7 @@ TenantSlab& local_slab() {
   return *slab;
 }
 
-void fetch_max(std::atomic<std::uint64_t>& slot, std::uint64_t v) {
-  std::uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  s += buf;
-}
+using obs::detail::append_u64;
 
 void append_double(std::string& s, double v) {
   char buf[40];
@@ -96,24 +82,16 @@ void append_double(std::string& s, double v) {
 
 }  // namespace
 
-namespace detail {
-
-void on_region_slow(std::uint64_t dispatch_ns, bool degraded) {
+void on_region(std::uint64_t dispatch_ns, bool degraded) {
   TenantSlab& t = local_slab();
   t.regions.fetch_add(1, std::memory_order_relaxed);
   if (degraded) t.degraded.fetch_add(1, std::memory_order_relaxed);
-  t.buckets[HistogramData::bucket_of(dispatch_ns)].fetch_add(
-      1, std::memory_order_relaxed);
-  t.count.fetch_add(1, std::memory_order_relaxed);
-  t.sum_ns.fetch_add(dispatch_ns, std::memory_order_relaxed);
-  fetch_max(t.max_ns, dispatch_ns);
+  t.dispatch.record(dispatch_ns);
 }
 
-void add_lease_wait_slow(std::uint64_t ns) {
+void add_lease_wait(std::uint64_t ns) {
   local_slab().lease_wait_ns.fetch_add(ns, std::memory_order_relaxed);
 }
-
-}  // namespace detail
 
 std::uint64_t current_id() { return local_slab().id; }
 
@@ -128,12 +106,7 @@ std::vector<Snap> snapshot() {
     s.regions = t->regions.load(std::memory_order_relaxed);
     s.degraded_width = t->degraded.load(std::memory_order_relaxed);
     s.lease_wait_ns = t->lease_wait_ns.load(std::memory_order_relaxed);
-    for (unsigned b = 0; b < kHistBuckets; ++b) {
-      s.dispatch.buckets[b] = t->buckets[b].load(std::memory_order_relaxed);
-    }
-    s.dispatch.count = t->count.load(std::memory_order_relaxed);
-    s.dispatch.sum_ns = t->sum_ns.load(std::memory_order_relaxed);
-    s.dispatch.max_ns = t->max_ns.load(std::memory_order_relaxed);
+    s.dispatch = t->dispatch.load();
     out.push_back(std::move(s));
   }
   return out;
@@ -175,10 +148,7 @@ void reset() {
     t->regions.store(0, std::memory_order_relaxed);
     t->degraded.store(0, std::memory_order_relaxed);
     t->lease_wait_ns.store(0, std::memory_order_relaxed);
-    for (auto& b : t->buckets) b.store(0, std::memory_order_relaxed);
-    t->count.store(0, std::memory_order_relaxed);
-    t->sum_ns.store(0, std::memory_order_relaxed);
-    t->max_ns.store(0, std::memory_order_relaxed);
+    t->dispatch.reset();
   }
 }
 
@@ -188,30 +158,20 @@ void reset() {
 
 namespace monitor {
 
-namespace detail {
-std::atomic<bool> g_armed{false};
-}  // namespace detail
+std::string prom_name(std::string_view dotted) {
+  std::string out = "ompmca_";
+  for (char c : dotted) out += c == '.' ? '_' : c;
+  return out;
+}
 
 namespace {
 
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  s += buf;
-}
+using obs::detail::append_u64;
 
 void append_fixed(std::string& s, double v, const char* fmt) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), fmt, v);
   s += buf;
-}
-
-/// Dotted metric name with dots flattened to underscores and the
-/// Prometheus-conventional "ompmca_" prefix.
-std::string prom_name(std::string_view dotted) {
-  std::string out = "ompmca_";
-  for (char c : dotted) out += c == '.' ? '_' : c;
-  return out;
 }
 
 /// Worker bitmap rendered as a compact [i, j, ...] index list.
@@ -587,13 +547,13 @@ bool start(const Options& opts) {
   MonitorState& st = MonitorState::instance();
   MutexLock lk(st.mu);
   if (st.running) return false;
-  // The monitor observes the telemetry slabs, so arming it arms recording;
-  // the hot paths were already paying the enabled() load either way.
-  set_enabled(true);
+  // The monitor observes the telemetry slabs: its gate bit arms metric
+  // recording as well as the pool's heartbeats and slot mirrors.
+  (void)Registry::instance();  // env/atexit setup before the bit goes up
+  obs::detail::set_gate_bits(kGateMonitor, kGateMonitor);
   st.running = true;
   st.stop_requested = false;
   st.ticks.store(0, std::memory_order_relaxed);
-  detail::g_armed.store(true, std::memory_order_relaxed);
   Options sanitized = opts;
   if (sanitized.interval_ms == 0) sanitized.interval_ms = 1;
   // Baseline here, not on the sampler thread: anything recorded after
@@ -615,7 +575,7 @@ void stop() {
   }
   st.cv.notify_all();
   if (t.joinable()) t.join();
-  detail::g_armed.store(false, std::memory_order_relaxed);
+  obs::detail::set_gate_bits(kGateMonitor, 0);
 }
 
 bool running() {

@@ -27,13 +27,12 @@
 //    the flight record through the existing crash-flight-record path
 //    (warn-only; OMPMCA_STALL_ABORT=1 aborts instead).
 //
-// Cost discipline matches trace/telemetry: with OMPMCA_MONITOR unset every
-// hot-path hook is one relaxed load and a predictable branch — the worker
-// heartbeat bumps and the slot's monitor mirror stores happen only when
-// armed() is true, so an unmonitored run executes zero extra atomic writes.
+// Cost discipline matches trace/telemetry: arming sets the monitor bit of
+// the spine's gate (spine.hpp), and the worker heartbeat bumps and the
+// slot's monitor mirror stores read it from the gate load their hook site
+// already pays, so an unmonitored run executes zero extra atomic writes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -59,24 +58,15 @@ struct Snap {
   HistogramData dispatch;           // fork dispatch latency (prepare + ring)
 };
 
-namespace detail {
-void on_region_slow(std::uint64_t dispatch_ns, bool degraded);
-void add_lease_wait_slow(std::uint64_t ns);
-}  // namespace detail
-
 /// One top-level region forked by the calling master: @p dispatch_ns is the
 /// prepare-to-ring latency, @p degraded whether the granted width fell
-/// short of the request.  One relaxed load when telemetry is off.
-inline void on_region(std::uint64_t dispatch_ns, bool degraded) {
-  if (!enabled()) return;
-  detail::on_region_slow(dispatch_ns, degraded);
-}
+/// short of the request.  Records unconditionally: callers gate on their
+/// probe's metrics() bit.
+void on_region(std::uint64_t dispatch_ns, bool degraded);
 
-/// Contended worker-lease wait attributed to the calling master.
-inline void add_lease_wait(std::uint64_t ns) {
-  if (!enabled()) return;
-  detail::add_lease_wait_slow(ns);
-}
+/// Contended worker-lease wait attributed to the calling master (gated by
+/// the caller like on_region).
+void add_lease_wait(std::uint64_t ns);
 
 /// The calling thread's tenant id, registering its meter on first use
 /// (cold path; masters only).
@@ -110,14 +100,9 @@ struct Options {
   bool abort_on_stall = false;
 };
 
-namespace detail {
-extern std::atomic<bool> g_armed;
-}  // namespace detail
-
-/// One relaxed load; gates the pool's heartbeat bumps and slot mirrors.
-inline bool armed() {
-  return detail::g_armed.load(std::memory_order_relaxed);
-}
+/// Dotted metric name with dots flattened to underscores and the
+/// Prometheus-conventional "ompmca_" prefix.
+std::string prom_name(std::string_view dotted);
 
 // --- stall sources ------------------------------------------------------------
 
@@ -199,13 +184,15 @@ std::string to_prom(const Sample& s);
 
 // --- the sampler thread -------------------------------------------------------
 
-/// Starts the sampler thread (arming telemetry recording if it was off).
-/// Returns false when a monitor is already running.
+/// Starts the sampler thread and sets the monitor gate bit, which records
+/// metrics whatever the metrics bit says.  Returns false when a monitor is
+/// already running.
 bool start(const Options& opts);
 
 /// Stops the sampler: takes one final sample (so short runs still export),
 /// runs a last watchdog pass, joins the thread.  Safe to call when not
-/// running; safe while regions are in flight.
+/// running; safe while regions are in flight.  Clears the monitor gate bit,
+/// so recording falls back to the metrics bit's own setting.
 void stop();
 
 bool running();

@@ -17,7 +17,8 @@ namespace ompmca::obs {
 
 namespace {
 
-void atomic_fetch_max(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
+/// Lock-free max: raises @p slot to @p value unless it is already higher.
+void fetch_max(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
   std::uint64_t cur = slot.load(std::memory_order_relaxed);
   while (cur < value &&
          !slot.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
@@ -29,13 +30,7 @@ void atomic_fetch_max(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
 /// cache lines.
 struct alignas(kCacheLineBytes) ThreadSlab {
   std::array<std::atomic<std::uint64_t>, kNumCounters> counters{};
-  struct HistSlab {
-    std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum_ns{0};
-    std::atomic<std::uint64_t> max_ns{0};
-  };
-  std::array<HistSlab, kNumHists> hists{};
+  std::array<detail::HistSlab, kNumHists> hists{};
 };
 
 enum class Mode { kOff, kOn, kJson };
@@ -43,82 +38,49 @@ enum class Mode { kOff, kOn, kJson };
 }  // namespace
 
 namespace detail {
-std::atomic<bool> g_enabled{false};
+
+std::atomic<unsigned> g_gate{0};
+
+void set_gate_bits(unsigned mask, unsigned bits) {
+  unsigned cur = g_gate.load(std::memory_order_relaxed);
+  while (!g_gate.compare_exchange_weak(cur, (cur & ~mask) | (bits & mask),
+                                       std::memory_order_relaxed)) {
+  }
+}
+
+void append_u64(std::string& s, std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
+  s += buf;
+}
+
+void HistSlab::record(std::uint64_t ns) {
+  buckets[HistogramData::bucket_of(ns)].fetch_add(1,
+                                                  std::memory_order_relaxed);
+  count.fetch_add(1, std::memory_order_relaxed);
+  sum_ns.fetch_add(ns, std::memory_order_relaxed);
+  fetch_max(max_ns, ns);
+}
+
+HistogramData HistSlab::load() const {
+  HistogramData d;
+  for (unsigned b = 0; b < kHistBuckets; ++b) {
+    d.buckets[b] = buckets[b].load(std::memory_order_relaxed);
+  }
+  d.count = count.load(std::memory_order_relaxed);
+  d.sum_ns = sum_ns.load(std::memory_order_relaxed);
+  d.max_ns = max_ns.load(std::memory_order_relaxed);
+  return d;
+}
+
+void HistSlab::reset() {
+  for (auto& b : buckets) b.store(0, std::memory_order_relaxed);
+  count.store(0, std::memory_order_relaxed);
+  sum_ns.store(0, std::memory_order_relaxed);
+  max_ns.store(0, std::memory_order_relaxed);
+}
+
 }  // namespace detail
-
-// --- names --------------------------------------------------------------------
-
-std::string_view name(Counter c) {
-  switch (c) {
-    case Counter::kGompParallel: return "gomp.parallel";
-    case Counter::kGompFor: return "gomp.for";
-    case Counter::kGompBarrier: return "gomp.barrier";
-    case Counter::kGompSingle: return "gomp.single";
-    case Counter::kGompCritical: return "gomp.critical";
-    case Counter::kGompCriticalContended: return "gomp.critical_contended";
-    case Counter::kGompReduction: return "gomp.reduction";
-    case Counter::kGompTaskSpawned: return "gomp.task_spawned";
-    case Counter::kGompTaskloop: return "gomp.taskloop";
-    case Counter::kGompTaskStolen: return "gomp.task_stolen";
-    case Counter::kGompTaskStolenLocal: return "gomp.task_stolen_local";
-    case Counter::kGompTaskStolenRemote: return "gomp.task_stolen_remote";
-    case Counter::kGompPoolDispatch: return "gomp.pool_dispatch";
-    case Counter::kGompBarrierLocal: return "gomp.barrier_local";
-    case Counter::kGompBarrierXCluster: return "gomp.barrier_xcluster";
-    case Counter::kGompTeamDegraded: return "gomp.team_degraded";
-    case Counter::kGompTeamMultiplexed: return "gomp.team_multiplexed";
-    case Counter::kGompLeaseDegraded: return "gomp.lease_degraded";
-    case Counter::kGompTeamBubble: return "gomp.team_bubble";
-    case Counter::kGompTeamBubbleSpill: return "gomp.team_bubble_spill";
-    case Counter::kGompLoopStealAttempt: return "gomp.loop_steal_attempt";
-    case Counter::kGompLoopSteal: return "gomp.loop_steal";
-    case Counter::kGompLoopStealLocal: return "gomp.loop_steal_local";
-    case Counter::kGompLoopStealRemote: return "gomp.loop_steal_remote";
-    case Counter::kMrapiMutexAcquire: return "mrapi.mutex_acquire";
-    case Counter::kMrapiMutexContended: return "mrapi.mutex_contended";
-    case Counter::kMrapiNodeCreate: return "mrapi.node_create";
-    case Counter::kMrapiNodeRetire: return "mrapi.node_retire";
-    case Counter::kMrapiArenaAllocate: return "mrapi.arena_allocate";
-    case Counter::kMrapiArenaAllocateFailed:
-      return "mrapi.arena_allocate_failed";
-    case Counter::kMrapiArenaRelease: return "mrapi.arena_release";
-    case Counter::kMrapiArenaClusterLocal: return "mrapi.arena_cluster_local";
-    case Counter::kMrapiArenaClusterSpill: return "mrapi.arena_cluster_spill";
-    case Counter::kPlatformTeamShape: return "platform.team_shape";
-    case Counter::kObsMonitorTick: return "obs.monitor_tick";
-    case Counter::kObsStallDetected: return "obs.stall_detected";
-    case Counter::kCount: break;
-  }
-  return "?";
-}
-
-std::string_view name(Hist h) {
-  switch (h) {
-    case Hist::kGompParallelNs: return "gomp.parallel_ns";
-    case Hist::kGompForNs: return "gomp.for_ns";
-    case Hist::kGompSingleNs: return "gomp.single_ns";
-    case Hist::kGompCriticalNs: return "gomp.critical_ns";
-    case Hist::kGompReductionNs: return "gomp.reduction_ns";
-    case Hist::kGompBarrierWaitNs: return "gomp.barrier_wait_ns";
-    case Hist::kGompDoorbellWakeNs: return "gomp.doorbell_wake_ns";
-    case Hist::kGompLeaseWaitNs: return "gomp.lease_wait_ns";
-    case Hist::kMrapiMutexAcquireNs: return "mrapi.mutex_acquire_ns";
-    case Hist::kMrapiArenaAllocateNs: return "mrapi.arena_allocate_ns";
-    case Hist::kMrapiArenaReleaseNs: return "mrapi.arena_release_ns";
-    case Hist::kCount: break;
-  }
-  return "?";
-}
-
-std::string_view name(Gauge g) {
-  switch (g) {
-    case Gauge::kMrapiArenaBytesInUseHwm:
-      return "mrapi.arena_bytes_in_use_hwm";
-    case Gauge::kGompTaskQueueDepthHwm: return "gomp.task_queue_depth_hwm";
-    case Gauge::kCount: break;
-  }
-  return "?";
-}
 
 // --- HistogramData ------------------------------------------------------------
 
@@ -207,7 +169,7 @@ Registry& Registry::instance() {
 
 namespace {
 // The hooks never touch the Registry while disabled (one relaxed load of
-// g_enabled only), so OMPMCA_TELEMETRY must be parsed — and the atexit
+// the gate only), so OMPMCA_TELEMETRY must be parsed — and the atexit
 // report registered — before main() rather than lazily on first use.
 [[maybe_unused]] const bool g_bootstrap = (Registry::instance(), true);
 }  // namespace
@@ -223,7 +185,7 @@ Registry::Registry() : impl_(new Impl()) {
   }
   if (auto f = env_string("OMPMCA_TELEMETRY_FILE")) impl_->report_path = *f;
   if (impl_->mode != Mode::kOff) {
-    detail::g_enabled.store(true, std::memory_order_relaxed);
+    detail::set_gate_bits(kGateMetrics, kGateMetrics);
   }
   if (impl_->mode == Mode::kJson) {
     std::atexit([] {
@@ -241,12 +203,7 @@ void Registry::reset() {
   MutexLock lk(impl_->slabs_mu);
   for (auto& slab : impl_->slabs) {
     for (auto& c : slab->counters) c.store(0, std::memory_order_relaxed);
-    for (auto& h : slab->hists) {
-      for (auto& b : h.buckets) b.store(0, std::memory_order_relaxed);
-      h.count.store(0, std::memory_order_relaxed);
-      h.sum_ns.store(0, std::memory_order_relaxed);
-      h.max_ns.store(0, std::memory_order_relaxed);
-    }
+    for (auto& h : slab->hists) h.reset();
   }
   for (auto& g : impl_->gauges) g.store(0, std::memory_order_relaxed);
   for (auto& p : impl_->placements) p.store(0, std::memory_order_relaxed);
@@ -261,15 +218,7 @@ Snapshot Registry::snapshot() const {
       out.counters[c] += slab->counters[c].load(std::memory_order_relaxed);
     }
     for (unsigned h = 0; h < kNumHists; ++h) {
-      const auto& src = slab->hists[h];
-      auto& dst = out.hists[h];
-      for (unsigned b = 0; b < kHistBuckets; ++b) {
-        dst.buckets[b] += src.buckets[b].load(std::memory_order_relaxed);
-      }
-      dst.count += src.count.load(std::memory_order_relaxed);
-      dst.sum_ns += src.sum_ns.load(std::memory_order_relaxed);
-      dst.max_ns =
-          std::max(dst.max_ns, src.max_ns.load(std::memory_order_relaxed));
+      out.hists[h] += slab->hists[h].load();
     }
   }
   for (unsigned g = 0; g < kNumGauges; ++g) {
@@ -285,12 +234,7 @@ namespace {
 
 void append(std::string& s, std::string_view v) { s.append(v); }
 
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(v));
-  s += buf;
-}
+using detail::append_u64;
 
 }  // namespace
 
@@ -411,7 +355,7 @@ void Registry::maybe_write_report(std::string_view tag) {
 
 void set_enabled(bool on) {
   (void)Registry::instance();  // make sure atexit/env setup has run
-  detail::g_enabled.store(on, std::memory_order_relaxed);
+  detail::set_gate_bits(kGateMetrics, on ? unsigned{kGateMetrics} : 0u);
 }
 
 namespace detail {
@@ -424,13 +368,10 @@ void add_counter(Counter c, std::uint64_t n) {
 }
 
 void record_hist(Hist h, std::uint64_t ns) {
-  auto& hist =
-      Registry::instance().impl_->local_slab().hists[static_cast<unsigned>(h)];
-  hist.buckets[HistogramData::bucket_of(ns)].fetch_add(
-      1, std::memory_order_relaxed);
-  hist.count.fetch_add(1, std::memory_order_relaxed);
-  hist.sum_ns.fetch_add(ns, std::memory_order_relaxed);
-  atomic_fetch_max(hist.max_ns, ns);
+  Registry::instance()
+      .impl_->local_slab()
+      .hists[static_cast<unsigned>(h)]
+      .record(ns);
 }
 
 }  // namespace detail
@@ -449,8 +390,8 @@ void register_report_section(std::string_view key, std::string (*fn)()) {
 
 void gauge_max(Gauge g, std::uint64_t value) {
   if (!enabled()) return;
-  atomic_fetch_max(
-      Registry::instance().impl_->gauges[static_cast<unsigned>(g)], value);
+  fetch_max(Registry::instance().impl_->gauges[static_cast<unsigned>(g)],
+            value);
 }
 
 void placement(unsigned cluster, std::uint64_t n) {

@@ -9,9 +9,9 @@
 //    the hot path, no locks); slabs are merged only at snapshot time;
 //  * durations land in power-of-two-bucket histograms (bucket b >= 1 covers
 //    [2^(b-1), 2^b) nanoseconds), so recording is a handful of ALU ops;
-//  * with telemetry disabled every hook compiles down to one relaxed
-//    atomic load and a predictable branch — cheap enough that Table I
-//    ratios are unaffected.
+//  * with telemetry disabled every hook compiles down to one relaxed load
+//    of the spine's gate (spine.hpp) and a predictable branch — cheap
+//    enough that Table I ratios are unaffected.
 //
 // Enable with OMPMCA_TELEMETRY=json (JSON report on process exit, or
 // explicitly via Registry::maybe_write_report) or programmatically with
@@ -28,124 +28,18 @@
 #include <string_view>
 
 #include "common/align.hpp"
-#include "common/time.hpp"
+#include "obs/spine.hpp"
 
 namespace ompmca::obs {
 
-// --- metric identifiers -------------------------------------------------------
-
-/// Monotonic event counters, one slot per thread slab.
-enum class Counter : unsigned {
-  // gomp — per-directive entries.
-  kGompParallel,
-  kGompFor,
-  kGompBarrier,
-  kGompSingle,
-  kGompCritical,
-  kGompCriticalContended,
-  kGompReduction,
-  kGompTaskSpawned,
-  kGompTaskloop,
-  // Work-stealing task deques (cluster-first victim order).
-  kGompTaskStolen,
-  kGompTaskStolenLocal,   // victim in the thief's cluster
-  kGompTaskStolenRemote,  // steal crossed a cluster boundary (CoreNet hop)
-  kGompPoolDispatch,
-  // Barrier arrival locality (the team barrier's witness): an arrival
-  // that stayed inside the arriving thread's cluster vs one that crossed
-  // the CoreNet fabric.  A flat barrier on a 3-cluster 24-thread team would
-  // pay 16 cross-cluster arrivals per barrier; the two-tier barrier pays
-  // one per occupied cluster, and none on a one-cluster team.
-  kGompBarrierLocal,
-  kGompBarrierXCluster,
-  // Teams that ran narrower than requested because worker launch failed
-  // (graceful degradation instead of a deadlocked barrier).
-  kGompTeamDegraded,
-  // Regions dispatched while another master's region was already in flight
-  // on the same pool (the multiplexed-dispatch witness).
-  kGompTeamMultiplexed,
-  // Leases that came back narrower than requested because concurrent
-  // masters held the workers past the bounded lease wait.
-  kGompLeaseDegraded,
-  // Nested teams pinned whole into one cluster (bubble placement); a spill
-  // means the master's own cluster was full and another cluster hosted the
-  // bubble instead.
-  kGompTeamBubble,
-  kGompTeamBubbleSpill,
-  // Work-stealing loop scheduler (dynamic/guided distributed ranges).
-  kGompLoopStealAttempt,
-  kGompLoopSteal,
-  kGompLoopStealLocal,   // victim in the thief's cluster
-  kGompLoopStealRemote,  // steal crossed a cluster boundary (CoreNet hop)
-  // mrapi — the MCA service layer.
-  kMrapiMutexAcquire,
-  kMrapiMutexContended,
-  kMrapiNodeCreate,
-  kMrapiNodeRetire,
-  kMrapiArenaAllocate,
-  kMrapiArenaAllocateFailed,
-  kMrapiArenaRelease,
-  // Partitioned-arena placement: a hinted allocation served from its own
-  // cluster's sub-pool vs spilled into another cluster's pool.
-  kMrapiArenaClusterLocal,
-  kMrapiArenaClusterSpill,
-  // platform — placement machinery.
-  kPlatformTeamShape,
-  // obs — the live monitor's own meters (src/obs/monitor.cpp).
-  kObsMonitorTick,
-  kObsStallDetected,
-  kCount
-};
-
-/// Duration histograms (nanoseconds, power-of-two buckets).
-enum class Hist : unsigned {
-  kGompParallelNs,
-  kGompForNs,
-  kGompSingleNs,
-  kGompCriticalNs,
-  kGompReductionNs,
-  kGompBarrierWaitNs,
-  kGompDoorbellWakeNs,  // doorbell ring -> worker starts the region body
-  kGompLeaseWaitNs,     // time a master waited for contended worker leases
-  kMrapiMutexAcquireNs,
-  kMrapiArenaAllocateNs,
-  kMrapiArenaReleaseNs,
-  kCount
-};
-
-/// High-water-mark gauges (global, updated with a fetch-max loop).
-enum class Gauge : unsigned {
-  kMrapiArenaBytesInUseHwm,
-  kGompTaskQueueDepthHwm,
-  kCount
-};
-
-inline constexpr unsigned kNumCounters = static_cast<unsigned>(Counter::kCount);
-inline constexpr unsigned kNumHists = static_cast<unsigned>(Hist::kCount);
-inline constexpr unsigned kNumGauges = static_cast<unsigned>(Gauge::kCount);
 inline constexpr unsigned kHistBuckets = 40;  // covers up to ~9 minutes in ns
 /// Per-cluster placement counters (T4240 has 3 clusters; leave headroom).
 inline constexpr unsigned kMaxClusters = 16;
 
-/// Dotted metric names used in the JSON report.
-std::string_view name(Counter c);
-std::string_view name(Hist h);
-std::string_view name(Gauge g);
+/// True when metrics are recorded (telemetry enabled or a monitor armed).
+inline bool enabled() { return (gate() & kGateRecordsMetrics) != 0; }
 
-// --- the enabled switch (the only thing disabled-mode hooks touch) -----------
-
-namespace detail {
-extern std::atomic<bool> g_enabled;
-
-void add_counter(Counter c, std::uint64_t n);
-void record_hist(Hist h, std::uint64_t ns);
-}  // namespace detail
-
-/// One relaxed load; the disabled-mode cost of every hook.
-inline bool enabled() {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
-
+/// Sets or clears the metrics gate bit.
 void set_enabled(bool on);
 
 // --- recording hooks ----------------------------------------------------------
@@ -155,8 +49,7 @@ inline void count(Counter c, std::uint64_t n = 1) {
   detail::add_counter(c, n);
 }
 
-/// Records a duration that was measured by the caller (the caller must have
-/// checked enabled() before paying for the clock reads).
+/// Records a duration that was measured by the caller.
 inline void record(Hist h, std::uint64_t ns) {
   if (!enabled()) return;
   detail::record_hist(h, ns);
@@ -173,29 +66,6 @@ void register_report_section(std::string_view key, std::string (*fn)());
 
 /// One software thread placed into hardware cluster @p cluster.
 void placement(unsigned cluster, std::uint64_t n = 1);
-
-/// RAII duration probe: reads the clock only when telemetry is enabled at
-/// construction, so the disabled path is load + branch.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Hist h) {
-    if (enabled()) {
-      hist_ = h;
-      start_ns_ = monotonic_nanos();
-      armed_ = true;
-    }
-  }
-  ~ScopedTimer() {
-    if (armed_) detail::record_hist(hist_, monotonic_nanos() - start_ns_);
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  std::uint64_t start_ns_ = 0;
-  Hist hist_{};
-  bool armed_ = false;
-};
 
 // --- snapshot / report --------------------------------------------------------
 
@@ -233,6 +103,26 @@ struct HistogramData {
   /// Bucket-wise accumulation (merging per-thread or per-tenant samples).
   HistogramData& operator+=(const HistogramData& o);
 };
+
+namespace detail {
+
+/// The hot-path twin of HistogramData: one writer (the owning thread),
+/// relaxed readers that merge it at snapshot time.
+struct HistSlab {
+  std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
+  std::atomic<std::uint64_t> count{0};
+  std::atomic<std::uint64_t> sum_ns{0};
+  std::atomic<std::uint64_t> max_ns{0};
+
+  void record(std::uint64_t ns);
+  HistogramData load() const;
+  void reset();
+};
+
+/// Appends @p v in decimal (the report renderers' shared number writer).
+void append_u64(std::string& s, std::uint64_t v);
+
+}  // namespace detail
 
 /// A merged, self-consistent-enough view of all thread slabs (individual
 /// slots are read relaxed; exactness across slots is not a goal).

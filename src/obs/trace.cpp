@@ -12,46 +12,19 @@
 #include "common/env.hpp"
 #include "common/locks.hpp"
 #include "common/log.hpp"
+#include "obs/telemetry.hpp"
 
 namespace ompmca::obs::trace {
 
-namespace detail {
-std::atomic<unsigned> g_mode{0};
-}  // namespace detail
-
-std::string_view name(Type t) {
-  switch (t) {
-    case Type::kParallel: return "parallel";
-    case Type::kForkRing: return "fork_ring";
-    case Type::kWorkerWake: return "worker_wake";
-    case Type::kWorkerWork: return "worker_work";
-    case Type::kJoinWait: return "join_wait";
-    case Type::kBarrier: return "barrier";
-    case Type::kBarrierTier: return "barrier_tier";
-    case Type::kFor: return "for";
-    case Type::kSingle: return "single";
-    case Type::kCritical: return "critical";
-    case Type::kLoopChunk: return "loop_chunk";
-    case Type::kStealAttempt: return "steal_attempt";
-    case Type::kSteal: return "steal";
-    case Type::kTaskSpawn: return "task_spawn";
-    case Type::kTaskRun: return "task_run";
-    case Type::kTaskSteal: return "task_steal";
-    case Type::kMutexAcquire: return "mutex_acquire";
-    case Type::kNodeCreate: return "node_create";
-    case Type::kNodeRetire: return "node_retire";
-    case Type::kShmemCreate: return "shmem_create";
-    case Type::kFaultInject: return "fault_inject";
-    case Type::kFaultRecover: return "fault_recover";
-    case Type::kFaultExhaust: return "fault_exhaust";
-    case Type::kLockAcquire: return "lock_acquire";
-    case Type::kCheckViolation: return "check_violation";
-    case Type::kCount: break;
-  }
-  return "?";
-}
-
 namespace {
+
+/// Sets the trace gate bits for mode @p m (full mode sets both).
+void set_trace_bits(Mode m) {
+  const unsigned bits = m == Mode::kOff    ? 0u
+                        : m == Mode::kRing ? unsigned{kGateTrace}
+                                           : kGateTrace | kGateTraceFull;
+  obs::detail::set_gate_bits(kGateTrace | kGateTraceFull, bits);
+}
 
 constexpr std::size_t kDefaultRingEvents = 4096;
 constexpr std::size_t kMinRingEvents = 16;
@@ -148,11 +121,9 @@ struct TraceRegistry {
   TraceRegistry() {
     if (auto v = env_string("OMPMCA_TRACE")) {
       if (iequals(*v, "ring")) {
-        detail::g_mode.store(static_cast<unsigned>(Mode::kRing),
-                             std::memory_order_relaxed);
+        set_trace_bits(Mode::kRing);
       } else if (iequals(*v, "full")) {
-        detail::g_mode.store(static_cast<unsigned>(Mode::kFull),
-                             std::memory_order_relaxed);
+        set_trace_bits(Mode::kFull);
       } else if (!iequals(*v, "off") && !iequals(*v, "0")) {
         std::fprintf(stderr,
                      "ompmca: OMPMCA_TRACE=%s not recognised "
@@ -178,7 +149,7 @@ struct TraceRegistry {
 };
 
 // The hooks never touch the registry while disabled (one relaxed load of
-// g_mode only), so OMPMCA_TRACE must be parsed — and the atexit export
+// the gate only), so OMPMCA_TRACE must be parsed — and the atexit export
 // registered — before main() rather than lazily on first emit.
 [[maybe_unused]] const bool g_bootstrap = (TraceRegistry::instance(), true);
 
@@ -191,9 +162,7 @@ void emit(Type type, std::uint64_t begin_ns, std::uint64_t end_ns,
   TraceRegistry& reg = TraceRegistry::instance();
   ThreadBuf& buf = reg.local_buf();
   const std::uint64_t h = buf.head.load(std::memory_order_relaxed);
-  if (g_mode.load(std::memory_order_relaxed) ==
-          static_cast<unsigned>(Mode::kFull) &&
-      h > 0 && (h & (buf.capacity - 1)) == 0) {
+  if (verbose() && h > 0 && (h & (buf.capacity - 1)) == 0) {
     // Ring is about to start overwriting: archive the full chunk first so
     // nothing is lost.  Owner-thread only; the lock orders us against
     // snapshot()/reset(), never against other writers.
@@ -210,12 +179,12 @@ void emit(Type type, std::uint64_t begin_ns, std::uint64_t end_ns,
 }  // namespace detail
 
 Mode mode() {
-  return static_cast<Mode>(detail::g_mode.load(std::memory_order_relaxed));
+  return verbose() ? Mode::kFull : enabled() ? Mode::kRing : Mode::kOff;
 }
 
 void set_mode(Mode m) {
   (void)TraceRegistry::instance();  // make sure env/atexit setup has run
-  detail::g_mode.store(static_cast<unsigned>(m), std::memory_order_relaxed);
+  set_trace_bits(m);
 }
 
 void set_ring_capacity(std::size_t events) {
@@ -284,11 +253,7 @@ std::vector<ThreadTrace> snapshot() {
 
 namespace {
 
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  s += buf;
-}
+using obs::detail::append_u64;
 
 /// Microseconds with ns precision, as Chrome's `ts`/`dur` expect.
 void append_us(std::string& s, std::uint64_t ns) {
@@ -299,106 +264,18 @@ void append_us(std::string& s, std::uint64_t ns) {
   s += buf;
 }
 
-std::string_view category_of(Type t) {
-  switch (t) {
-    case Type::kMutexAcquire:
-    case Type::kNodeCreate:
-    case Type::kNodeRetire:
-    case Type::kShmemCreate:
-      return "mrapi";
-    case Type::kFaultInject:
-    case Type::kFaultRecover:
-    case Type::kFaultExhaust:
-      return "fault";
-    case Type::kLockAcquire:
-    case Type::kCheckViolation:
-      return "check";
-    default:
-      return "gomp";
-  }
-}
-
-/// Renders the two payload words with type-appropriate key names.
+/// Renders the payload words under the event's catalog keys.
 void append_args(std::string& s, const Event& e) {
-  auto kv = [&s](const char* key, std::uint64_t v, bool first = false) {
-    if (!first) s += ",";
-    s += "\"";
-    s += key;
+  const EventInfo& ev = info(e.type);
+  s += ",\"args\":{\"";
+  s += ev.a0_key;
+  s += "\":";
+  append_u64(s, e.a0);
+  if (!ev.a1_key.empty()) {
+    s += ",\"";
+    s += ev.a1_key;
     s += "\":";
-    append_u64(s, v);
-  };
-  s += ",\"args\":{";
-  switch (e.type) {
-    case Type::kParallel:
-      kv("width", e.a0, true);
-      kv("nested", e.a1);
-      break;
-    case Type::kForkRing:
-      kv("epoch", e.a0, true);
-      kv("width", e.a1);
-      break;
-    case Type::kWorkerWake:
-    case Type::kWorkerWork:
-    case Type::kJoinWait:
-      kv("epoch", e.a0, true);
-      break;
-    case Type::kBarrier:
-      kv("groups", e.a0, true);
-      kv("width", e.a1);
-      break;
-    case Type::kBarrierTier:
-      kv("tier", e.a0, true);
-      kv("cluster", e.a1);
-      break;
-    case Type::kLoopChunk:
-      kv("lo", e.a0, true);
-      kv("hi", e.a1);
-      break;
-    case Type::kStealAttempt:
-      kv("victim", e.a0, true);
-      break;
-    case Type::kSteal:
-      kv("victim", e.a0, true);
-      kv("local", e.a1);
-      break;
-    case Type::kTaskSpawn:
-      kv("tid", e.a0, true);
-      kv("depth", e.a1);
-      break;
-    case Type::kTaskRun:
-      kv("stolen", e.a0, true);
-      break;
-    case Type::kTaskSteal:
-      kv("victim", e.a0, true);
-      kv("local", e.a1);
-      break;
-    case Type::kMutexAcquire:
-      kv("contended", e.a0, true);
-      break;
-    case Type::kNodeCreate:
-    case Type::kNodeRetire:
-      kv("node", e.a0, true);
-      break;
-    case Type::kShmemCreate:
-      kv("key", e.a0, true);
-      kv("bytes", e.a1);
-      break;
-    case Type::kFaultInject:
-    case Type::kFaultRecover:
-    case Type::kFaultExhaust:
-      kv("site", e.a0, true);
-      break;
-    case Type::kLockAcquire:
-      kv("lock_class", e.a0, true);
-      kv("key", e.a1);
-      break;
-    case Type::kCheckViolation:
-      kv("violation", e.a0, true);
-      break;
-    default:
-      kv("a0", e.a0, true);
-      kv("a1", e.a1);
-      break;
+    append_u64(s, e.a1);
   }
   s += "}";
 }
@@ -455,7 +332,7 @@ std::string chrome_json() {
       s += ",\"name\":\"";
       s += name(e.type);
       s += "\",\"cat\":\"";
-      s += category_of(e.type);
+      s += info(e.type).category;
       s += "\"";
       append_args(s, e);
       s += "}";

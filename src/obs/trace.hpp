@@ -10,8 +10,9 @@
 //    (type, begin/end ns, two payload words); the writer publishes each slot
 //    with one release store of the ring head, readers snapshot with acquire
 //    loads — no locks anywhere on the hot path;
-//  * `OMPMCA_TRACE=off|ring|full` gates recording.  Disabled hooks cost one
-//    relaxed atomic load and a predictable branch, same budget as telemetry.
+//  * `OMPMCA_TRACE=off|ring|full` sets the trace bits of the spine's gate
+//    (spine.hpp).  Disabled hooks cost that one relaxed load and a
+//    predictable branch, the same load telemetry's hooks pay.
 //    `ring` keeps only the newest OMPMCA_TRACE_RING events per thread (flight
 //    recorder); `full` archives every wrapped-out chunk so nothing is lost;
 //  * `OMPMCA_TRACE_FILE=<path>` exports Chrome/Perfetto JSON at process exit;
@@ -23,13 +24,12 @@
 //    inversion/deadlock report arrives with its event history attached.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/time.hpp"
+#include "obs/spine.hpp"
 
 namespace ompmca::obs::trace {
 
@@ -38,47 +38,6 @@ enum class Mode : unsigned {
   kRing = 1,  // newest N events per thread survive (flight recorder)
   kFull = 2,  // wrapped-out ring chunks are archived; nothing is dropped
 };
-
-/// Event types.  Values are stable within a trace file (exported by name, so
-/// renumbering across versions is harmless).
-enum class Type : std::uint32_t {
-  // gomp fork/join (doorbell dispatch pipeline).
-  kParallel,       // whole region on the master; a0=width a1=nested(0/1)
-  kForkRing,       // instant: master rings the doorbell; a0=epoch a1=width
-  kWorkerWake,     // instant: worker observed the ticket; a0=epoch
-  kWorkerWork,     // worker runs the region body; a0=epoch
-  kJoinWait,       // master waits for the join counter; a0=epoch
-  kBarrier,        // a0=cluster groups, a1=team width
-  kBarrierTier,    // two-tier barrier wait (full mode only): a0=tier
-                   // (0=intra-cluster wait, 1=cluster leader crossing the
-                   // CoreNet top tier), a1=cluster id
-  // gomp worksharing.
-  kFor,            // a0=schedule kind
-  kSingle,
-  kCritical,       // spans acquire + body
-  kLoopChunk,      // instant (full mode only): chunk acquired; a0=lo a1=hi
-  kStealAttempt,   // instant (full mode only): a0=victim tid
-  kSteal,          // instant (full mode only): steal; a0=victim a1=local(0/1)
-  // gomp explicit tasks (full mode only: spawn/run rates track loop chunks).
-  kTaskSpawn,      // instant: a0=spawner tid a1=deque depth (1 for depend)
-  kTaskRun,        // task body execution; a0=stolen(0/1)
-  kTaskSteal,      // instant: deque steal; a0=victim a1=local(0/1)
-  // mrapi.
-  kMutexAcquire,   // a0=contended(0/1)
-  kNodeCreate,     // a0=node id
-  kNodeRetire,     // a0=node id
-  kShmemCreate,    // a0=key a1=bytes
-  // fault injection.
-  kFaultInject,    // instant: a0=site
-  kFaultRecover,   // instant: a0=site (absorbing policy's site)
-  kFaultExhaust,   // instant: a0=site
-  // check.
-  kLockAcquire,    // instant: a0=lock class a1=key
-  kCheckViolation, // instant: a0=violation kind
-  kCount
-};
-
-std::string_view name(Type t);
 
 struct Event {
   std::uint64_t begin_ns = 0;
@@ -96,29 +55,15 @@ struct ThreadTrace {
   std::vector<Event> events;
 };
 
-// --- the mode switch (the only thing disabled hooks touch) -------------------
-
-namespace detail {
-extern std::atomic<unsigned> g_mode;
-
-void emit(Type type, std::uint64_t begin_ns, std::uint64_t end_ns,
-          std::uint64_t a0, std::uint64_t a1);
-}  // namespace detail
-
-/// One relaxed load; the disabled-mode cost of every hook.
-inline bool enabled() {
-  return detail::g_mode.load(std::memory_order_relaxed) != 0;
-}
+/// True in ring and full mode.
+inline bool enabled() { return (gate() & kGateTrace) != 0; }
 
 /// True only in full mode.  Per-iteration events (loop chunks, steal
 /// attempts) are gated on this instead of enabled(): they cost a clock read
 /// per loop *chunk*, which is measurable on EPCC FOR microbenchmarks, so the
 /// always-on ring tier records control flow only and the deep-dive full tier
 /// adds the per-chunk detail.
-inline bool verbose() {
-  return detail::g_mode.load(std::memory_order_relaxed) ==
-         static_cast<unsigned>(Mode::kFull);
-}
+inline bool verbose() { return (gate() & kGateTraceFull) != 0; }
 
 Mode mode();
 void set_mode(Mode m);
@@ -140,49 +85,12 @@ inline void instant(Type t, std::uint64_t a0 = 0, std::uint64_t a1 = 0) {
   detail::emit(t, now, now, a0, a1);
 }
 
-/// Point event with a caller-supplied timestamp (e.g. the doorbell ring time
-/// already captured for the wake-latency histogram).
-inline void instant_at(Type t, std::uint64_t ts_ns, std::uint64_t a0 = 0,
-                       std::uint64_t a1 = 0) {
-  if (!enabled()) return;
-  detail::emit(t, ts_ns, ts_ns, a0, a1);
-}
-
 /// Duration event whose start the caller measured (after checking enabled()).
 inline void complete(Type t, std::uint64_t begin_ns, std::uint64_t a0 = 0,
                      std::uint64_t a1 = 0) {
   if (!enabled()) return;
   detail::emit(t, begin_ns, monotonic_nanos(), a0, a1);
 }
-
-/// RAII duration probe: reads the clock only when tracing is enabled at
-/// construction; payload words may be filled in before destruction.
-class Span {
- public:
-  explicit Span(Type t, std::uint64_t a0 = 0, std::uint64_t a1 = 0)
-      : a0_(a0), a1_(a1), type_(t) {
-    if (enabled()) {
-      begin_ns_ = monotonic_nanos();
-      armed_ = true;
-    }
-  }
-  ~Span() {
-    if (armed_) detail::emit(type_, begin_ns_, monotonic_nanos(), a0_, a1_);
-  }
-  void set_args(std::uint64_t a0, std::uint64_t a1) {
-    a0_ = a0;
-    a1_ = a1;
-  }
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
- private:
-  std::uint64_t begin_ns_ = 0;
-  std::uint64_t a0_ = 0;
-  std::uint64_t a1_ = 0;
-  Type type_{};
-  bool armed_ = false;
-};
 
 // --- snapshot / export -------------------------------------------------------
 

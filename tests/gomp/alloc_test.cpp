@@ -1,6 +1,6 @@
 // Zero-allocation fork: once a dispatch slot's hot team exists, a region of
 // the same shape must not touch the heap or the environment — no Team, no
-// make_barrier, no TaskDeque, no getenv.  This binary replaces the global
+// barrier, no TaskDeque, no getenv.  This binary replaces the global
 // operator new/delete and getenv with counting versions (one process-wide
 // count, so worker threads are counted too) and asserts a zero count over
 // long runs of warm regions, on both backends.

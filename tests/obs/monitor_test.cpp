@@ -304,6 +304,23 @@ TEST(Monitor, WatchdogFiresExactlyOnceOnSeededStall) {
   std::remove("monitor_test_watchdog.jsonl");
 }
 
+// The monitor's gate bit arms recording only while it runs: after stop()
+// the hooks fall back to the metrics bit, here off.
+TEST(Monitor, StopRestoresTheGate) {
+  const bool was = enabled();
+  set_enabled(false);
+  monitor::Options o;
+  o.interval_ms = 5;
+  o.path = "monitor_test_gate.jsonl";
+  o.stall_ns = 0;
+  ASSERT_TRUE(monitor::start(o));
+  EXPECT_TRUE(enabled());
+  monitor::stop();
+  EXPECT_FALSE(enabled());
+  set_enabled(was);
+  std::remove("monitor_test_gate.jsonl");
+}
+
 TEST(Monitor, CleanShutdownMidRegion) {
   ScopedEnable scope;
   gomp::RuntimeOptions opts;

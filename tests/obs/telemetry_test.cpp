@@ -1,17 +1,20 @@
 // Telemetry subsystem unit tests: counter/histogram mechanics, the
-// disabled-mode no-op guarantee, JSON shape, and end-to-end counts from a
-// real runtime driving real directives.
+// disabled-mode no-op guarantee, the probe and the metric catalog, JSON
+// shape, and end-to-end counts from a real runtime driving real directives.
 #include "obs/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gomp/gomp.hpp"
 #include "mrapi/mutex.hpp"
+#include "obs/monitor.hpp"
+#include "obs/trace.hpp"
 
 namespace ompmca::obs {
 namespace {
@@ -23,9 +26,10 @@ TEST(Telemetry, DisabledHooksRecordNothing) {
   record(Hist::kGompParallelNs, 1234);
   gauge_max(Gauge::kGompTaskQueueDepthHwm, 42);
   placement(1, 3);
-  { ScopedTimer t(Hist::kGompForNs); }
+  { Probe p(Counter::kGompFor, Hist::kGompForNs, trace::Type::kFor); }
   Snapshot s = Registry::instance().snapshot();
   EXPECT_EQ(s.counter(Counter::kGompParallel), 0u);
+  EXPECT_EQ(s.counter(Counter::kGompFor), 0u);
   EXPECT_EQ(s.hist(Hist::kGompParallelNs).count, 0u);
   EXPECT_EQ(s.hist(Hist::kGompForNs).count, 0u);
   EXPECT_EQ(s.gauge(Gauge::kGompTaskQueueDepthHwm), 0u);
@@ -131,16 +135,76 @@ TEST(Telemetry, GaugeKeepsHighWaterMark) {
   EXPECT_EQ(s.gauge(Gauge::kMrapiArenaBytesInUseHwm), 500u);
 }
 
-TEST(Telemetry, ScopedTimerRecordsPlausibleDuration) {
+// Both sinks armed: the histogram sample and the trace span come from the
+// probe's one pair of clock reads, so they agree to the nanosecond.
+TEST(Probe, OneClockPairFeedsHistogramAndTrace) {
   ScopedEnable scope;
+  trace::set_mode(trace::Mode::kRing);
+  trace::reset();
   {
-    ScopedTimer t(Hist::kMrapiArenaAllocateNs);
+    Probe p(Counter::kGompCritical, Hist::kGompCriticalNs,
+            trace::Type::kCritical, 7, 9);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+  trace::set_mode(trace::Mode::kOff);
   Snapshot s = Registry::instance().snapshot();
-  const HistogramData& h = s.hist(Hist::kMrapiArenaAllocateNs);
+  EXPECT_EQ(s.counter(Counter::kGompCritical), 1u);
+  const HistogramData& h = s.hist(Hist::kGompCriticalNs);
   ASSERT_EQ(h.count, 1u);
   EXPECT_GE(h.sum_ns, 2'000'000u);  // at least the 2 ms we slept
+
+  std::vector<trace::Event> events;
+  for (const auto& tt : trace::snapshot()) {
+    events.insert(events.end(), tt.events.begin(), tt.events.end());
+  }
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].type, trace::Type::kCritical);
+  EXPECT_EQ(events[0].a0, 7u);
+  EXPECT_EQ(events[0].a1, 9u);
+  EXPECT_EQ(events[0].end_ns - events[0].begin_ns, h.sum_ns);
+  trace::reset();
+}
+
+// Every exported name is defined once: unique within and across families
+// (the JSON report and JSONL key on them), never the unknown marker, and
+// no two metrics collapse into one Prometheus family.
+TEST(Catalog, NamesAreUniqueAndMapToDistinctPromFamilies) {
+  std::set<std::string> dotted;
+  std::set<std::string> prom;
+  auto add = [&](std::string_view n) {
+    EXPECT_FALSE(n.empty());
+    EXPECT_NE(n, "?");
+    EXPECT_TRUE(dotted.insert(std::string(n)).second) << n;
+    EXPECT_TRUE(prom.insert(monitor::prom_name(n)).second) << n;
+  };
+  for (unsigned c = 0; c < kNumCounters; ++c) {
+    add(name(static_cast<Counter>(c)));
+  }
+  for (unsigned h = 0; h < kNumHists; ++h) add(name(static_cast<Hist>(h)));
+  for (unsigned g = 0; g < kNumGauges; ++g) add(name(static_cast<Gauge>(g)));
+  // Rendered families: counters gain "_total", summaries "_sum"/"_count".
+  std::set<std::string> families;
+  for (unsigned c = 0; c < kNumCounters; ++c) {
+    const std::string f =
+        monitor::prom_name(name(static_cast<Counter>(c))) + "_total";
+    EXPECT_TRUE(families.insert(f).second) << f;
+  }
+  for (unsigned h = 0; h < kNumHists; ++h) {
+    const std::string f = monitor::prom_name(name(static_cast<Hist>(h)));
+    for (const char* suffix : {"", "_sum", "_count"}) {
+      EXPECT_TRUE(families.insert(f + suffix).second) << f << suffix;
+    }
+  }
+
+  std::set<std::string_view> events;
+  for (unsigned t = 0; t < trace::kNumTypes; ++t) {
+    const trace::EventInfo& ev = trace::info(static_cast<trace::Type>(t));
+    EXPECT_FALSE(ev.name.empty());
+    EXPECT_NE(ev.name, "?");
+    EXPECT_FALSE(ev.category.empty()) << ev.name;
+    EXPECT_FALSE(ev.a0_key.empty()) << ev.name;
+    EXPECT_TRUE(events.insert(ev.name).second) << ev.name;
+  }
 }
 
 TEST(Telemetry, JsonReportContainsAllSections) {

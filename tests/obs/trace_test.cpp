@@ -178,8 +178,7 @@ TEST(Trace, DisabledModeEmitsZeroEvents) {
   EXPECT_FALSE(enabled());
   instant(Type::kBarrier, 1, 2);
   complete(Type::kFor, 123);
-  instant_at(Type::kForkRing, 456, 7, 8);
-  { Span span(Type::kParallel, 1, 2); }
+  { Probe probe(Type::kParallel, 1, 2); }
   EXPECT_EQ(total_events(snapshot()), 0u);
   EXPECT_EQ(flight_record_count(), 0u);
   dump_flight_record("disabled");  // no-op while off
@@ -249,26 +248,12 @@ TEST(Trace, PerThreadOrderingIsMonotonic) {
   EXPECT_GE(active, static_cast<unsigned>(kThreads));
 }
 
-TEST(Trace, SpanRecordsDuration) {
-  ScopedTrace scoped(Mode::kRing);
-  {
-    Span span(Type::kCritical);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  const auto threads = snapshot();
-  const ThreadTrace* tt = active_thread(threads);
-  ASSERT_NE(tt, nullptr);
-  ASSERT_EQ(tt->events.size(), 1u);
-  EXPECT_EQ(tt->events[0].type, Type::kCritical);
-  EXPECT_GE(tt->events[0].end_ns - tt->events[0].begin_ns, 1000000u);
-}
-
 TEST(Trace, ExportedJsonParsesAndRoundTripsEventCounts) {
   ScopedTrace scoped(Mode::kRing);
   instant(Type::kBarrier, 3, 4);
   complete(Type::kFor, monotonic_nanos() - 1000, 1);
   instant(Type::kSteal, 3, 1);
-  instant_at(Type::kForkRing, monotonic_nanos(), 42, 4);
+  instant(Type::kForkRing, 42, 4);
   instant(Type::kWorkerWake, 42);
 
   const std::size_t snapshot_total = total_events(snapshot());
