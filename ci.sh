@@ -49,6 +49,19 @@ cmake --build build-tsan -j
 # synchronisation path it exercises is already covered by gomp_test and
 # validation_test under TSan.
 (cd build-tsan && ctest --output-on-failure -E '^epcc_test$')
+# The task drain's outstanding-task count and the barrier waiters' task
+# help are memory-ordering arguments, and one pass rarely lands in their
+# race windows: repeat the task, pending-count and barrier suites 20 times.
+# About a minute under TSan on a 4-core host (85 s with other builds
+# running); boxed at five minutes so a hang fails with a message.
+rc=0
+timeout 300 ./build-tsan/tests/gomp/gomp_test --gtest_brief=1 \
+  --gtest_filter='Task*:*PendingCount*:*Barrier*' --gtest_repeat=20 || rc=$?
+if [ "$rc" -eq 124 ]; then
+  echo "task and barrier suites: 20 TSan repeats exceeded 300 s (hang?)" >&2
+fi
+[ "$rc" -eq 0 ] || exit "$rc"
+echo "task and barrier suites: 20 repeats clean under TSan"
 # The team barrier's two-tier release protocol (per-cluster sense flips +
 # top-tier combine) gets a dedicated race check: real threads over a
 # 3-cluster map.

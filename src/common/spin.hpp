@@ -32,10 +32,14 @@ inline void cpu_relax() {
 /// Escalating backoff: spin a handful of times, then yield to the OS.
 class Backoff {
  public:
-  explicit Backoff(int spin_limit = 64) : spin_limit_(spin_limit) {}
+  /// Pauses before the first yield.  On a 4-vCPU x86 host, 64 and 65536
+  /// measured the same width-4 empty region and in-region barrier
+  /// (fork_vs_libgomp, Release, active wait), so one constant serves every
+  /// wait loop.
+  static constexpr int kSpinLimit = 64;
 
   void pause() {
-    if (count_ < spin_limit_) {
+    if (count_ < kSpinLimit) {
       ++count_;
       cpu_relax();
     } else {
@@ -46,7 +50,6 @@ class Backoff {
   void reset() { count_ = 0; }
 
  private:
-  int spin_limit_;
   int count_ = 0;
 };
 

@@ -56,7 +56,8 @@ HierarchicalBarrier::~HierarchicalBarrier() {
 }
 
 void HierarchicalBarrier::arrive_and_wait(unsigned tid,
-                                          const obs::Probe& probe) {
+                                          const obs::Probe& probe,
+                                          BarrierWaiter* waiter) {
   OMPMCA_CHECK_BARRIER_HELD();
   const bool my_sense = local_sense_[tid].value;
   local_sense_[tid].value = !my_sense;
@@ -79,8 +80,12 @@ void HierarchicalBarrier::arrive_and_wait(unsigned tid,
     if (final_leader) {
       // Release every group top-down.
       if (ngroups > 1) top_count_.store(0, std::memory_order_relaxed);
+      // Passive waiters with a BarrierWaiter sleep in wait_until(), not on
+      // the group's condition variable: wake() below reaches them.  Active
+      // waiters never sleep, so they need neither.
+      const bool passive = policy_ == WaitPolicy::kPassive;
       for (ClusterTier* rt : groups_) {
-        if (policy_ == WaitPolicy::kPassive) {
+        if (passive && waiter == nullptr) {
           {
             // Store under the mutex so no waiter can check the predicate
             // between its load and its sleep and miss the notify.
@@ -92,6 +97,7 @@ void HierarchicalBarrier::arrive_and_wait(unsigned tid,
           rt->sense.store(my_sense, std::memory_order_release);
         }
       }
+      if (passive && waiter != nullptr) waiter->wake();
     }
     // The leader-tier span covers only the top-tier crossing; a leader that
     // was not last then waits on its own group's flag like everyone else.
@@ -102,15 +108,22 @@ void HierarchicalBarrier::arrive_and_wait(unsigned tid,
     if (final_leader) return;
   }
 
-  if (policy_ == WaitPolicy::kPassive) {
+  if (policy_ == WaitPolicy::kPassive && waiter != nullptr) {
+    waiter->wait_until(tier.sense, my_sense);
+  } else if (policy_ == WaitPolicy::kPassive) {
     MutexLock lk(tier.mu);
     lk.wait(tier.cv, [&] {
       return tier.sense.load(std::memory_order_acquire) == my_sense;
     });
   } else {
     Backoff backoff;
-    while (tier.sense.load(std::memory_order_acquire) != my_sense)
-      backoff.pause();
+    while (tier.sense.load(std::memory_order_acquire) != my_sense) {
+      if (waiter != nullptr && waiter->help()) {
+        backoff.reset();  // ran a task: the release may be close again
+      } else {
+        backoff.pause();
+      }
+    }
   }
   if (probe.verbose() && !leader) {
     probe.emit(obs::trace::Type::kBarrierTier, probe.begin_ns(),

@@ -21,6 +21,12 @@
 // oversubscribed hosts and for power-conscious embedded use); kActive spins
 // with escalating backoff (right when threads own HW threads).
 //
+// Waiting threads can help.  An OpenMP barrier is a task scheduling point,
+// so the team barrier passes a BarrierWaiter (its task system): a thread
+// that arrived early runs the tasks a later arriver spawns, the active
+// spin between pauses and the passive wait by parking on the task
+// system's progress epoch instead of the group's condition variable.
+//
 // Team (team.hpp) builds the barrier from its thread -> cluster map and
 // rebuilds it only when the wait policy changes or when a multi-cluster map
 // moves; bench/ablation_barriers keeps the comparison against the tree and
@@ -43,6 +49,23 @@ namespace ompmca::gomp {
 /// Read by nothing: the runtime has one barrier.  Kept, with
 /// RuntimeOptions::barrier, because perfbench/workloads.cpp still assigns it.
 enum class BarrierKind { kAuto };
+
+/// What an arrived thread does until its group is released (see the file
+/// comment).  Each call runs on the waiting thread itself.
+class BarrierWaiter {
+ public:
+  /// Active wait: runs one queued task; false when none is takeable.
+  virtual bool help() = 0;
+  /// Passive wait: runs queued tasks, and sleeps when none is takeable,
+  /// until @p sense reads @p value.
+  virtual void wait_until(const std::atomic<bool>& sense, bool value) = 0;
+  /// Under passive wait the releasing thread calls this after flipping
+  /// every group's sense: it wakes the threads wait_until() put to sleep.
+  virtual void wake() = 0;
+
+ protected:
+  ~BarrierWaiter() = default;
+};
 
 /// Cluster-local storage hook for barrier state.  acquire() returns a
 /// cache-line-aligned block homed in @p cluster's memory domain (the
@@ -74,8 +97,10 @@ class HierarchicalBarrier {
 
   /// Blocks until all @c size() threads have arrived.  Reusable.  The
   /// arrival-locality counters and full-mode tier spans ride on @p probe's
-  /// gate load and start time (the team barrier's own probe).
-  void arrive_and_wait(unsigned tid, const obs::Probe& probe = obs::Probe());
+  /// gate load and start time (the team barrier's own probe).  Every
+  /// thread of one barrier passes a @p waiter, or none does.
+  void arrive_and_wait(unsigned tid, const obs::Probe& probe = obs::Probe(),
+                       BarrierWaiter* waiter = nullptr);
   unsigned size() const { return n_; }
 
   /// Occupied clusters = top-tier width = cross-cluster arrivals per phase

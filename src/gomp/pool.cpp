@@ -212,8 +212,11 @@ int ThreadPool::spin_budget() const {
   // oversubscribed host yield-spinning only churns the run queue that the
   // master needs.  A single-CPU host never spins at all: the mailbox cannot
   // change while we hold the only core.
+  constexpr int kPassiveSpins = 48;
+  static_assert(kPassiveSpins < Backoff::kSpinLimit,
+                "a passive wait must park before Backoff starts yielding");
   if (wait_policy_ == WaitPolicy::kActive) return 20000;
-  return can_spin_ ? 48 : 0;
+  return can_spin_ ? kPassiveSpins : 0;
 }
 
 void ThreadPool::ring(Bell& bell) {

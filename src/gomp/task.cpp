@@ -12,6 +12,13 @@
 
 namespace ompmca::gomp {
 
+namespace {
+// Yields a waiter makes between steal sweeps before it parks on the
+// progress epoch.  Waits loop only while tasks exist (an empty system's
+// drain returns on its first load), so the value tunes no common path.
+constexpr long kIdleSpins = 100;
+}  // namespace
+
 TaskSystem::TaskSystem(unsigned nthreads, const unsigned* cluster_of_thread)
     : nthreads_(nthreads > 0 ? nthreads : 1),
       cluster_of_thread_(cluster_of_thread) {
@@ -19,7 +26,6 @@ TaskSystem::TaskSystem(unsigned nthreads, const unsigned* cluster_of_thread)
   for (unsigned i = 0; i < nthreads_; ++i) {
     deques_.push_back(std::make_unique<TaskDeque>());
   }
-  spin_ = env_long_clamped("OMPMCA_TASK_SPIN", 0, 1'000'000).value_or(100);
   taskloop_grain_ =
       env_long_clamped("OMPMCA_TASKLOOP_GRAIN", 0, 1L << 30).value_or(0);
   taskloop_tasks_per_thread_ =
@@ -29,9 +35,9 @@ TaskSystem::TaskSystem(unsigned nthreads, const unsigned* cluster_of_thread)
 TaskSystem::~TaskSystem() { release_dependences(); }
 
 void TaskSystem::release_dependences() {
-  // After the region's final drain nothing is queued or executing, so the
-  // table's references are the only ones left on completed records.  (The
-  // lock is defensive: that quiescence is the real guarantee.)
+  // After the region's final drain no task is pending, so the table's
+  // references are the only ones left on completed records.  (The lock is
+  // defensive: that quiescence is the real guarantee.)
   MutexLock lk(deps_mu_);
   for (auto& [addr, entry] : dep_table_) {
     if (entry.last_out != nullptr) entry.last_out->release();
@@ -77,7 +83,7 @@ void TaskSystem::enqueue(unsigned tid, Task* task) {
   d.push(task);
   obs::gauge_max(obs::Gauge::kGompTaskQueueDepthHwm,
                  static_cast<std::uint64_t>(d.size()));
-  bump_progress();
+  bump_progress(/*all=*/false);  // one task: one sleeper to run it
 }
 
 void TaskSystem::spawn(unsigned tid, Task* parent, std::function<void()> fn) {
@@ -106,6 +112,9 @@ void TaskSystem::spawn(unsigned tid, Task* parent, std::function<void()> fn) {
   if (group != nullptr) {
     group->live_tasks.fetch_add(1, std::memory_order_seq_cst);  // seq_cst: ditto
   }
+  // seq_cst: ditto; pending_ rises before the enqueue publishes the task,
+  // so no completion can lower it first.
+  pending_.fetch_add(1, std::memory_order_seq_cst);
   obs::count(obs::Counter::kGompTaskSpawned);
   if (obs::trace::verbose()) {
     obs::trace::instant(obs::trace::Type::kTaskSpawn, tid,
@@ -163,7 +172,7 @@ void TaskSystem::spawn_depend(unsigned tid, Task* parent,
         idle = 0;
         continue;
       }
-      if (++idle <= spin_) {
+      if (++idle <= kIdleSpins) {
         std::this_thread::yield();
         continue;
       }
@@ -178,7 +187,9 @@ void TaskSystem::spawn_depend(unsigned tid, Task* parent,
   task->group = group;
   task->active_group = group;
   task->has_deps = true;
-  // seq_cst: same count/waiter total-order contract as spawn().
+  // seq_cst: same count/waiter total-order contract as spawn(); pending_
+  // rises before the dependence table publishes the task (a predecessor's
+  // completion may enqueue it as soon as it is there).
   if (parent != nullptr) {
     parent->retain();
     parent->live_children.fetch_add(1, std::memory_order_seq_cst);
@@ -186,6 +197,7 @@ void TaskSystem::spawn_depend(unsigned tid, Task* parent,
   if (group != nullptr) {
     group->live_tasks.fetch_add(1, std::memory_order_seq_cst);  // seq_cst: ditto
   }
+  pending_.fetch_add(1, std::memory_order_seq_cst);  // seq_cst: ditto
   obs::count(obs::Counter::kGompTaskSpawned);
   if (obs::trace::verbose()) {
     obs::trace::instant(obs::trace::Type::kTaskSpawn, tid, 1);
@@ -298,18 +310,9 @@ Task* TaskSystem::take(unsigned tid, bool* stolen) {
 }
 
 bool TaskSystem::run_one(unsigned tid, Task** current_slot) {
-  // seq_cst: executing_ rises before the take and falls after completion
-  // bookkeeping, so "every deque empty and executing_ == 0" (checked
-  // against an unchanged progress epoch) proves quiescence: an in-flight
-  // task is either still in a deque or its taker is counted here.
-  executing_.fetch_add(1, std::memory_order_seq_cst);
   bool stolen = false;
   Task* task = take(tid, &stolen);
-  if (task == nullptr) {
-    // seq_cst: the empty-handed drop stays in the quiescence order above.
-    executing_.fetch_sub(1, std::memory_order_seq_cst);
-    return false;
-  }
+  if (task == nullptr) return false;
   // RAII: a throwing task body must still restore the caller's
   // current-task slot and run completion accounting, or every later
   // drain()/taskwait on this system wedges on counts that never reach
@@ -342,16 +345,25 @@ void TaskSystem::finished(unsigned tid, Task* task) {
   TaskGroup* group = task->group;
   // seq_cst: decrements precede the progress bump — a woken waiter
   // re-checks its condition and must observe the counts this completion
-  // produced, and drain()'s quiescence scan needs the executing_ drop in
-  // the same total order.
+  // produced.  pending_ falls last, after the successors this completion
+  // released were enqueued (they stay counted), and a drain that reads
+  // zero acquires every finished task's effects.
+  //
+  // A completion ends a wait only by taking a count to zero, so only then
+  // does it ring, and it wakes every sleeper (which one waits on which
+  // count is not recorded).  Any other completion leaves the sleepers be:
+  // the successors it released rang for themselves in enqueue().
+  bool emptied = false;
   if (parent != nullptr) {
-    parent->live_children.fetch_sub(1, std::memory_order_seq_cst);
+    // seq_cst: see above.
+    emptied |= parent->live_children.fetch_sub(1, std::memory_order_seq_cst) == 1;
   }
   if (group != nullptr) {
-    group->live_tasks.fetch_sub(1, std::memory_order_seq_cst);  // seq_cst: ditto
+    // seq_cst: ditto
+    emptied |= group->live_tasks.fetch_sub(1, std::memory_order_seq_cst) == 1;
   }
-  executing_.fetch_sub(1, std::memory_order_seq_cst);  // seq_cst: ditto
-  bump_progress();
+  emptied |= pending_.fetch_sub(1, std::memory_order_seq_cst) == 1;  // seq_cst: ditto
+  if (emptied) bump_progress(/*all=*/true);
   task->release();  // the queue/execution reference
   if (parent != nullptr) parent->release();
 }
@@ -371,14 +383,7 @@ void TaskSystem::release_dependents(unsigned tid, Task* task) {
   for (Task* s : ready) enqueue(tid, s);
 }
 
-bool TaskSystem::deques_empty() const {
-  for (const auto& d : deques_) {
-    if (!d->empty()) return false;
-  }
-  return true;
-}
-
-void TaskSystem::bump_progress() {
+void TaskSystem::bump_progress(bool all) {
   // seq_cst: waker side of the Dekker pair with park() — the bump must be
   // ordered before the sleepers_ check in the single total order, or a
   // sleeper could register after our check yet before our bump.
@@ -388,7 +393,11 @@ void TaskSystem::bump_progress() {
     // cv wait holds idle_mu_, so taking it here orders this notify after
     // that wait begins (or the waiter's predicate sees the new epoch).
     { MutexLock lk(idle_mu_); }
-    idle_cv_.notify_all();
+    if (all) {
+      idle_cv_.notify_all();
+    } else {
+      idle_cv_.notify_one();
+    }
   }
 }
 
@@ -408,74 +417,69 @@ void TaskSystem::park(std::uint64_t epoch) {
   sleepers_.fetch_sub(1, std::memory_order_seq_cst);  // seq_cst: pair exit
 }
 
-void TaskSystem::taskwait(unsigned tid, Task** current_slot) {
-  Task* waiting_on = *current_slot;
-  if (waiting_on == nullptr) return;
+template <class Done>
+void TaskSystem::help_until(Done done, unsigned tid, Task** current_slot) {
   long idle = 0;
-  // seq_cst: the count loads and the epoch snapshot pair with the seq_cst
-  // updates in spawn()/finished() — snapshot-then-recheck is only sound
-  // in a single total order (park() wakes on any later bump).
-  while (waiting_on->live_children.load(std::memory_order_seq_cst) != 0) {
+  // seq_cst: done()'s loads and the epoch snapshot pair with the seq_cst
+  // updates in spawn()/finished() (and the bump after a barrier release)
+  // — snapshot-then-recheck is only sound in a single total order
+  // (park() wakes on any later bump).
+  while (!done()) {
     const std::uint64_t e = progress_.load(std::memory_order_seq_cst);
     if (run_one(tid, current_slot)) {
       idle = 0;
       continue;
     }
+    if (done()) break;
+    // Yield between steal sweeps only while tasks exist; otherwise nothing
+    // but a wake() can end the wait, so park at once.  (A count a waiter
+    // waits on is nonzero only while pending_ is.)
     // seq_cst: see loop header.
-    if (waiting_on->live_children.load(std::memory_order_seq_cst) == 0) break;
-    if (++idle <= spin_) {
+    if (++idle <= kIdleSpins && pending_.load(std::memory_order_seq_cst) != 0) {
       std::this_thread::yield();
       continue;
     }
     park(e);
   }
+}
+
+void TaskSystem::taskwait(unsigned tid, Task** current_slot) {
+  Task* waiting_on = *current_slot;
+  if (waiting_on == nullptr) return;
+  // seq_cst: help_until's snapshot-then-recheck contract.
+  help_until([waiting_on] {
+    return waiting_on->live_children.load(std::memory_order_seq_cst) == 0;
+  }, tid, current_slot);
 }
 
 void TaskSystem::group_wait(unsigned tid, TaskGroup* group,
                             Task** current_slot) {
-  long idle = 0;
-  // seq_cst: same snapshot-then-recheck contract as taskwait().
-  while (group->live_tasks.load(std::memory_order_seq_cst) != 0) {
-    const std::uint64_t e = progress_.load(std::memory_order_seq_cst);
-    if (run_one(tid, current_slot)) {
-      idle = 0;
-      continue;
-    }
-    // seq_cst: see loop header.
-    if (group->live_tasks.load(std::memory_order_seq_cst) == 0) break;
-    if (++idle <= spin_) {
-      std::this_thread::yield();
-      continue;
-    }
-    park(e);
-  }
+  // seq_cst: help_until's snapshot-then-recheck contract.
+  help_until([group] {
+    return group->live_tasks.load(std::memory_order_seq_cst) == 0;
+  }, tid, current_slot);
 }
 
 void TaskSystem::drain(unsigned tid, Task** current_slot) {
-  long idle = 0;
-  for (;;) {
-    if (run_one(tid, current_slot)) {
-      idle = 0;
-      continue;
-    }
-    // Quiescence proof: with the epoch unchanged across the scan and
-    // executing_ zero on both sides of the deque sweep, no task was
-    // queued, running, or completing anywhere during it (run_one raises
-    // executing_ before taking; spawns and completions bump the epoch).
-    // seq_cst: the proof is a single-total-order argument over all four
-    // loads and the counters they pair with.
-    const std::uint64_t e = progress_.load(std::memory_order_seq_cst);
-    if (executing_.load(std::memory_order_seq_cst) == 0 && deques_empty() &&
-        executing_.load(std::memory_order_seq_cst) == 0 &&
-        progress_.load(std::memory_order_seq_cst) == e) {
-      return;
-    }
-    if (++idle <= spin_) {
-      std::this_thread::yield();
-      continue;
-    }
-    park(e);
-  }
+  // seq_cst: help_until's snapshot-then-recheck contract.
+  help_until([this] { return pending_.load(std::memory_order_seq_cst) == 0; },
+             tid, current_slot);
+}
+
+bool TaskSystem::help(unsigned tid, Task** current_slot) {
+  // Relaxed: a hint for a spinning waiter, which polls again; the barrier's
+  // correctness rests on the arrivals' drains, not on this load.
+  return pending_.load(std::memory_order_relaxed) != 0 &&
+         run_one(tid, current_slot);
+}
+
+void TaskSystem::wait_until(const std::atomic<bool>& flag, bool value,
+                            unsigned tid, Task** current_slot) {
+  // seq_cst: help_until's snapshot-then-recheck contract; the thread that
+  // stores @p value bumps the epoch (wake()) after the store.
+  help_until([&flag, value] {
+    return flag.load(std::memory_order_seq_cst) == value;
+  }, tid, current_slot);
 }
 
 std::size_t TaskSystem::queued() const {

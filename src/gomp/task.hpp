@@ -16,11 +16,26 @@
 //
 // Waiting (taskwait / taskgroup end / barrier drain) first helps — runs
 // queued tasks — and, when no work is takeable, parks on a progress
-// epoch: every spawn, enqueue and completion bumps progress_ and wakes
-// sleepers, so a parked waiter re-checks its condition after any event
-// that could satisfy it.  A missed wakeup here was the seed
+// epoch: every enqueue bumps progress_ and wakes one sleeper to run the
+// task, and every completion that takes a count to zero bumps it and
+// wakes them all, so a parked waiter re-checks its condition after any
+// event that could satisfy it.  A missed wakeup here was the seed
 // implementation's deadlock; the epoch protocol makes the wakeup part of
 // the state change instead of a separate side channel.
+//
+// Quiescence is one counter.  pending_ counts tasks that are queued,
+// running or waiting on dependences: spawn raises it before the task is
+// published to a deque or the dependence table, completion lowers it after
+// the parent, group and dependents bookkeeping.  A barrier drain waits for
+// zero, and an empty task system returns on one load.  That is enough for
+// the barrier because a thread that spawns drains before it arrives: the
+// last arriver's drain saw zero only when no task existed anywhere.
+//
+// A thread that drained and arrived keeps helping while it waits for the
+// barrier's release (help(), wait_until()): the tasks a later arriver
+// spawns — the usual single-producer pattern — run on the whole team.
+// Helpers run only tasks, and every task is counted in pending_, so the
+// argument above still holds.
 #pragma once
 
 #include <atomic>
@@ -134,10 +149,24 @@ class TaskSystem {
   /// Runs/steals tasks until @p group has no live tasks.
   void group_wait(unsigned tid, TaskGroup* group, Task** current_slot);
 
-  /// Runs tasks until the whole system is quiescent: every deque empty and
-  /// no task executing anywhere (used by barriers; also the point after
-  /// which all dependence edges are resolved).
+  /// Runs tasks until no task is pending anywhere: none queued, running or
+  /// waiting on a dependence (used by barriers; also the point after which
+  /// all dependence edges are resolved).  One load when none exists.
   void drain(unsigned tid, Task** current_slot);
+
+  /// A barrier waiter's turn (after its drain and arrival): runs one queued
+  /// task; false at once, on one load, when none is pending.
+  bool help(unsigned tid, Task** current_slot);
+
+  /// A passive barrier waiter's wait: runs queued tasks until @p flag reads
+  /// @p value, parking on the progress epoch when none is takeable.  The
+  /// thread that stores @p value calls wake() afterwards.
+  void wait_until(const std::atomic<bool>& flag, bool value, unsigned tid,
+                  Task** current_slot);
+
+  /// Wakes parked waiters: a state they wait on changed outside the task
+  /// system (a barrier release).
+  void wake() { bump_progress(/*all=*/true); }
 
   /// Racy estimate of queued-but-unstarted tasks across all deques.
   std::size_t queued() const;
@@ -156,9 +185,14 @@ class TaskSystem {
   Task* take(unsigned tid, bool* stolen);
   void finished(unsigned tid, Task* task);
   void release_dependents(unsigned tid, Task* task);
-  bool deques_empty() const;
-  /// State-change bell: bump the epoch, wake parked waiters.
-  void bump_progress();
+  /// The waits' common loop: runs/steals tasks until @p done(), parking on
+  /// the progress epoch when no work is takeable.  @p done must read its
+  /// state seq_cst (the snapshot-then-recheck contract, see task.cpp).
+  template <class Done>
+  void help_until(Done done, unsigned tid, Task** current_slot);
+  /// State-change bell: bump the epoch, wake one parked waiter (a task to
+  /// run was enqueued) or @p all of them (a wait may have ended).
+  void bump_progress(bool all);
   /// Parks until progress moves past @p epoch (bounded wait: correctness
   /// never depends on the wakeup arriving).
   void park(std::uint64_t epoch);
@@ -166,7 +200,8 @@ class TaskSystem {
   unsigned nthreads_ = 1;
   const unsigned* cluster_of_thread_ = nullptr;  // borrowed from the Team
   std::vector<std::unique_ptr<TaskDeque>> deques_;
-  std::atomic<std::uint32_t> executing_{0};
+  // Spawned but not finished: queued, running or waiting on a dependence.
+  std::atomic<std::uint32_t> pending_{0};
 
   // Progress-epoch parking (see file comment).  idle_mu_ is parking-only
   // (guards nothing): the protocol state is progress_/sleepers_.
@@ -183,7 +218,6 @@ class TaskSystem {
       OMPMCA_GUARDED_BY(deps_mu_);
 
   // Tuning (read from the environment at construction).
-  long spin_ = 100;          // OMPMCA_TASK_SPIN: idle spins before parking
   long taskloop_grain_ = 0;  // OMPMCA_TASKLOOP_GRAIN: fixed grain, 0=adaptive
   long taskloop_tasks_per_thread_ = 8;  // OMPMCA_TASKLOOP_TASKS_PER_THREAD
 };

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <exception>
 
 #include "check/check.hpp"
 #include "gomp/runtime.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 
 namespace ompmca::gomp {
 
@@ -33,6 +35,58 @@ class AdoptedBackendLock {
 
  private:
   BackendMutex& m_;
+};
+
+/// The team barrier's task work for one thread: the drain before it
+/// arrives, and the queued tasks it runs while it waits for the release.
+/// A task that throws in either cannot unwind through the barrier (an
+/// arrived thread that left would strand the team), so the first exception
+/// is held, the drain or wait goes on, and rethrow() raises it once the
+/// barrier completed.
+class TaskHelp final : public BarrierWaiter {
+ public:
+  TaskHelp(TaskSystem& tasks, unsigned tid, Task** slot)
+      : tasks_(tasks), tid_(tid), slot_(slot) {}
+
+  void drain() {
+    while (!held([&] { tasks_.drain(tid_, slot_); })) {
+    }
+  }
+
+  bool help() override {
+    bool ran = true;  // a task that threw ran too
+    held([&] { ran = tasks_.help(tid_, slot_); });
+    return ran;
+  }
+
+  void wait_until(const std::atomic<bool>& sense, bool value) override {
+    while (!held([&] { tasks_.wait_until(sense, value, tid_, slot_); })) {
+    }
+  }
+
+  void wake() override { tasks_.wake(); }
+
+  void rethrow() const {
+    if (first_ != nullptr) std::rethrow_exception(first_);
+  }
+
+ private:
+  /// Runs @p f; false when it threw (the first exception is kept).
+  template <class F>
+  bool held(F f) {
+    try {
+      f();
+      return true;
+    } catch (...) {
+      if (first_ == nullptr) first_ = std::current_exception();
+      return false;
+    }
+  }
+
+  TaskSystem& tasks_;
+  unsigned tid_;
+  Task** slot_;
+  std::exception_ptr first_;
 };
 
 }  // namespace
@@ -190,20 +244,24 @@ Runtime& ParallelContext::runtime() const { return team_->rt_; }
 
 void ParallelContext::barrier() {
   OMPMCA_CHECK_BARRIER_USAGE(team_);
-  team_->tasks_.drain(tid_, &current_task_);
+  TaskHelp help(team_->tasks_, tid_, &current_task_);
+  help.drain();
   // Width-1 fast path: the drain above is the whole barrier — no atomics,
   // no sense flip, no telemetry noise for serialized regions.  The
   // held-lock audit still applies: a barrier under a lock is a program
   // bug regardless of team width (wider runs would deadlock).
   if (team_->barrier_ == nullptr) {
     OMPMCA_CHECK_BARRIER_HELD();
+    help.rethrow();
     return;
   }
-  // After the drain: the wait histogram times the barrier alone.
+  // After the drain: the wait histogram times the barrier, and the tasks
+  // an early arriver runs while it waits.
   obs::Probe probe(obs::Counter::kGompBarrier, obs::Hist::kGompBarrierWaitNs,
                    obs::trace::Type::kBarrier,
                    team_->barrier_->num_cluster_groups(), team_->nthreads_);
-  team_->barrier_->arrive_and_wait(tid_, probe);
+  team_->barrier_->arrive_and_wait(tid_, probe, &help);
+  help.rethrow();
 }
 
 void ParallelContext::for_loop(long begin, long end,
@@ -221,7 +279,7 @@ void ParallelContext::for_loop(long begin, long end,
   long pos = 0;
   long lo = 0;
   long hi = 0;
-  while (loop.next_chunk(tid_, &pos, &lo, &hi)) {
+  while (loop.next_chunk(tid_, &pos, &lo, &hi, probe.verbose())) {
     body(lo, hi);
   }
   OMPMCA_CHECK_REGION_EXIT(check::Region::kWorkshare, team_);
@@ -246,7 +304,7 @@ void ParallelContext::for_loop_ordered(long begin, long end,
   long pos = 0;
   long lo = 0;
   long hi = 0;
-  while (loop.next_chunk(tid_, &pos, &lo, &hi)) {
+  while (loop.next_chunk(tid_, &pos, &lo, &hi, probe.verbose())) {
     body(lo, hi);
   }
   OMPMCA_CHECK_REGION_EXIT(check::Region::kWorkshare, team_);
@@ -294,13 +352,15 @@ bool ParallelContext::loop_start(long begin, long end, ScheduleSpec spec,
   ++loop_gen_;
   active_loop_ = &loop;
   active_loop_pos_ = 0;
+  active_loop_verbose_ = obs::trace::verbose();
   OMPMCA_CHECK_REGION_ENTER(check::Region::kWorkshare, team_);
   return loop_next(lo, hi);
 }
 
 bool ParallelContext::loop_next(long* lo, long* hi) {
   assert(active_loop_ != nullptr && "loop_next without loop_start");
-  return active_loop_->next_chunk(tid_, &active_loop_pos_, lo, hi);
+  return active_loop_->next_chunk(tid_, &active_loop_pos_, lo, hi,
+                                  active_loop_verbose_);
 }
 
 void ParallelContext::loop_end(bool nowait) {

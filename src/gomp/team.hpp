@@ -69,7 +69,9 @@ class ParallelContext {
   Team& team() const { return *team_; }
 
   /// Explicit barrier (also drains queued explicit tasks, as OpenMP
-  /// barriers must).
+  /// barriers must; a thread waiting for the release runs queued tasks).
+  /// When a task this thread ran throws, the barrier still completes and
+  /// then rethrows the first such exception.
   void barrier();
 
   // --- worksharing loops ------------------------------------------------------
@@ -172,6 +174,7 @@ class ParallelContext {
   LoopInstance* active_ordered_loop_ = nullptr;
   LoopInstance* active_loop_ = nullptr;  // loop_start/next/end state
   long active_loop_pos_ = 0;
+  bool active_loop_verbose_ = false;  // full-trace bit latched at loop_start
   Task* current_task_ = nullptr;
 };
 

@@ -127,7 +127,8 @@ bool LoopInstance::claim_local(unsigned slot, long* lo, long* hi) {
   }
 }
 
-bool LoopInstance::steal_range(unsigned tid, long* lo, long* hi) {
+bool LoopInstance::steal_range(unsigned tid, long* lo, long* hi,
+                               bool verbose) {
   const unsigned n = nthreads_;
   const unsigned my_cluster = cluster_of_ != nullptr ? cluster_of_[tid] : 0;
   const int passes = cluster_of_ != nullptr ? 2 : 1;
@@ -147,7 +148,7 @@ bool LoopInstance::steal_range(unsigned tid, long* lo, long* hi) {
           if (v_lo >= v_hi) break;
           any_work = true;
           obs::count(obs::Counter::kGompLoopStealAttempt);
-          if (obs::trace::verbose()) {
+          if (verbose) {
             obs::trace::instant(obs::trace::Type::kStealAttempt, v);
           }
           // Victim keeps the front half (its cache-warm prefix); we take
@@ -159,7 +160,7 @@ bool LoopInstance::steal_range(unsigned tid, long* lo, long* hi) {
             obs::count(obs::Counter::kGompLoopSteal);
             obs::count(local ? obs::Counter::kGompLoopStealLocal
                              : obs::Counter::kGompLoopStealRemote);
-            if (obs::trace::verbose()) {
+            if (verbose) {
               obs::trace::instant(obs::trace::Type::kSteal, v, local ? 1 : 0);
             }
             const std::uint32_t take = claim_size(v_hi - mid);
@@ -182,11 +183,11 @@ bool LoopInstance::steal_range(unsigned tid, long* lo, long* hi) {
 }
 
 bool LoopInstance::next_chunk(unsigned tid, long* thread_pos, long* lo,
-                              long* hi) {
-  const bool got = next_chunk_impl(tid, thread_pos, lo, hi);
+                              long* hi, bool verbose) {
+  const bool got = next_chunk_impl(tid, thread_pos, lo, hi, verbose);
   // Per-chunk events are full-mode only: a clock read per chunk is
   // measurable on EPCC FOR, and the always-on ring tier must stay cheap.
-  if (got && obs::trace::verbose()) {
+  if (got && verbose) {
     obs::trace::instant(obs::trace::Type::kLoopChunk,
                         static_cast<std::uint64_t>(*lo),
                         static_cast<std::uint64_t>(*hi));
@@ -195,7 +196,7 @@ bool LoopInstance::next_chunk(unsigned tid, long* thread_pos, long* lo,
 }
 
 bool LoopInstance::next_chunk_impl(unsigned tid, long* thread_pos, long* lo,
-                                   long* hi) {
+                                   long* hi, bool verbose) {
   switch (spec_.kind) {
     case Schedule::kAuto:
     case Schedule::kStatic: {
@@ -209,7 +210,7 @@ bool LoopInstance::next_chunk_impl(unsigned tid, long* thread_pos, long* lo,
     case Schedule::kGuided: {
       if (distributed_) {
         if (claim_local(tid, lo, hi)) return true;
-        return steal_range(tid, lo, hi);
+        return steal_range(tid, lo, hi, verbose);
       }
       // Shared-cursor fallback (width-1 teams, > 2^31-1 iterations).
       if (spec_.kind == Schedule::kDynamic) {

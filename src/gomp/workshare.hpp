@@ -45,12 +45,16 @@ class LoopInstance {
   /// Next chunk for @p tid; false when no work is left anywhere (stealing
   /// schedules) or the thread's share is exhausted (static).
   /// @p thread_pos is per-thread cursor state owned by the caller
-  /// (chunk ordinal for static schedules; ignored otherwise).
-  bool next_chunk(unsigned tid, long* thread_pos, long* lo, long* hi);
+  /// (chunk ordinal for static schedules; ignored otherwise).  @p verbose
+  /// is the caller's full-trace bit, read once per construct: when set,
+  /// every chunk and steal emits its trace event.
+  bool next_chunk(unsigned tid, long* thread_pos, long* lo, long* hi,
+                  bool verbose);
 
  private:
   /// next_chunk's schedule dispatch; the public wrapper adds the trace hook.
-  bool next_chunk_impl(unsigned tid, long* thread_pos, long* lo, long* hi);
+  bool next_chunk_impl(unsigned tid, long* thread_pos, long* lo, long* hi,
+                       bool verbose);
 
  public:
 
@@ -98,7 +102,7 @@ class LoopInstance {
   /// Claims the next chunk off the front of @p slot's own range.
   bool claim_local(unsigned slot, long* lo, long* hi);
   /// Scans victims (same cluster first) and steals the back half of one.
-  bool steal_range(unsigned tid, long* lo, long* hi);
+  bool steal_range(unsigned tid, long* lo, long* hi, bool verbose);
 
   // Generation whose configuration is currently published; kNoGen before
   // the first construct.  enter() stays mutex-serialised on purpose: an

@@ -92,7 +92,7 @@ TEST(StealScheduler, StealsOccurUnderImbalance) {
   ASSERT_TRUE(loop.distributed());
   long pos = 0, lo = 0, hi = 0;
   std::vector<int> hits(256, 0);
-  while (loop.next_chunk(3, &pos, &lo, &hi)) {
+  while (loop.next_chunk(3, &pos, &lo, &hi, false)) {
     for (long i = lo; i < hi; ++i) ++hits[static_cast<std::size_t>(i)];
   }
   for (int h : hits) EXPECT_EQ(h, 1);
@@ -125,13 +125,13 @@ TEST(StealScheduler, NoStealsUnderPerfectBalance) {
   long claimed = 0;
   for (long round = 0; round < kIters / kThreads; ++round) {
     for (unsigned t = 0; t < kThreads; ++t) {
-      ASSERT_TRUE(loop.next_chunk(t, &pos[t], &lo, &hi));
+      ASSERT_TRUE(loop.next_chunk(t, &pos[t], &lo, &hi, false));
       claimed += hi - lo;
     }
   }
   EXPECT_EQ(claimed, kIters);
   for (unsigned t = 0; t < kThreads; ++t) {
-    EXPECT_FALSE(loop.next_chunk(t, &pos[t], &lo, &hi));
+    EXPECT_FALSE(loop.next_chunk(t, &pos[t], &lo, &hi, false));
     loop.leave();
   }
   obs::Snapshot s = obs::Registry::instance().snapshot();

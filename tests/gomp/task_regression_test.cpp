@@ -18,11 +18,20 @@
 // the scheduler's contract — wakeup on new work, group membership across
 // steals, exception safety — and hold for both the seed's central FIFO
 // shape and the work-stealing deques that replaced it.
+//
+// The PendingCount suite at the end guards the barrier drain's fast path,
+// which returns on one load of the outstanding-task count: a task spawned
+// after every other thread's drain returned, a successor parked in no
+// deque, a worker's last-statement spawn and a throwing task must all
+// still complete (and be counted down) before the barrier or join, and
+// threads already waiting at the barrier must run the tasks a later
+// arriver spawns.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "gomp/runtime.hpp"
@@ -214,8 +223,8 @@ TEST(TaskRegression, ThrowingTaskRestoresSlotAndAccounting) {
   // ...the child was accounted finished (taskwait returns instead of
   // parking forever on live_children)...
   ts.taskwait(0, &cur);
-  // ...and the executing count was restored (drain returns instead of
-  // spinning on a phantom in-flight task).
+  // ...and the pending count was lowered (drain returns instead of
+  // waiting on a phantom in-flight task).
   std::atomic<int> ran{0};
   ts.spawn(0, cur, [&] { ran.fetch_add(1); });
   ts.drain(0, &cur);
@@ -340,6 +349,159 @@ TEST(TaskRegression, TaskgroupThrowingBodyWaitsForGroup) {
   EXPECT_EQ(done.load(), 32);
   EXPECT_TRUE(second_group_ok.load());
 }
+
+// --- the outstanding-task count ------------------------------------------------
+
+Runtime make_width4_runtime(BackendKind kind,
+                            WaitPolicy policy = WaitPolicy::kPassive) {
+  RuntimeOptions opts;
+  opts.backend = kind;
+  Icvs icvs;
+  icvs.num_threads = 4;
+  icvs.wait_policy = policy;
+  opts.icvs = icvs;
+  return Runtime(opts);
+}
+
+class PendingCount : public ::testing::TestWithParam<BackendKind> {};
+
+// Thread 1 spawns long after the other threads' drains saw an empty task
+// system and they arrived at the barrier; the task must run (on thread 1's
+// drain or on a waiting thread) before thread 1 arrives, so every thread
+// sees the effect after the barrier.
+TEST_P(PendingCount, LateSpawnCompletesBeforeBarrierReleases) {
+  Runtime rt = make_width4_runtime(GetParam());
+  std::atomic<unsigned> width{0};
+  std::atomic<bool> ran{false};
+  std::atomic<unsigned> saw_task{0};
+  rt.parallel([&](ParallelContext& ctx) {
+    if (ctx.thread_num() == 0) width.store(ctx.num_threads());
+    if (ctx.thread_num() == 1) {
+      std::this_thread::sleep_for(5ms);
+      ctx.task([&] { ran.store(true); });
+    }
+    ctx.barrier();
+    if (ran.load()) saw_task.fetch_add(1);
+  });
+  EXPECT_EQ(width.load(), 4u);
+  EXPECT_EQ(saw_task.load(), width.load())
+      << "a thread passed the barrier before a late-spawned task ran";
+}
+
+// The `in x` successor sits in no deque while its slow `out x` predecessor
+// runs; it is still pending, so no drain may return before it ran.
+TEST_P(PendingCount, BlockedSuccessorCompletesBeforeBarrierReleases) {
+  Runtime rt = make_width4_runtime(GetParam());
+  int x = 0;
+  std::atomic<bool> writer_done{false};
+  std::atomic<bool> reader_done{false};
+  std::atomic<bool> reader_saw_writer{false};
+  std::atomic<unsigned> saw_both{0};
+  std::atomic<unsigned> width{0};
+  rt.parallel([&](ParallelContext& ctx) {
+    if (ctx.thread_num() == 0) {
+      width.store(ctx.num_threads());
+      ctx.task_depend(
+          [&] {
+            std::this_thread::sleep_for(20ms);
+            writer_done.store(true);
+          },
+          {}, {&x});
+      ctx.task_depend(
+          [&] {
+            reader_saw_writer.store(writer_done.load());
+            reader_done.store(true);
+          },
+          {&x}, {});
+    }
+    ctx.barrier();
+    if (writer_done.load() && reader_done.load()) saw_both.fetch_add(1);
+  });
+  EXPECT_TRUE(reader_saw_writer.load()) << "the in-x task ran before out-x";
+  EXPECT_EQ(saw_both.load(), width.load())
+      << "a thread passed the barrier while a dependent task was pending";
+}
+
+// A worker's spawn is its region body's last statement, long after the
+// master's region-end drain returned; the worker's own drain runs it
+// before it joins, so the master sees the write after parallel() returns.
+// The plain int also lets the race detector check the join's ordering.
+TEST_P(PendingCount, LateWorkerSpawnCompletesBeforeJoin) {
+  Runtime rt = make_width4_runtime(GetParam());
+  int effect = 0;
+  std::atomic<unsigned> width{0};
+  rt.parallel([&](ParallelContext& ctx) {
+    if (ctx.thread_num() == 0) width.store(ctx.num_threads());
+    if (ctx.thread_num() + 1 == ctx.num_threads() && ctx.thread_num() != 0) {
+      std::this_thread::sleep_for(5ms);
+      ctx.task([&] { effect = 42; });
+    }
+  });
+  EXPECT_EQ(width.load(), 4u);
+  EXPECT_EQ(effect, 42);
+}
+
+// A throwing task, run in some thread's barrier drain or barrier wait,
+// surfaces from that thread's barrier() once the barrier completed.
+// Completion still lowered the count, so the next barrier returns too.
+TEST_P(PendingCount, ThrowingTaskStillLowersCount) {
+  Runtime rt = make_width4_runtime(GetParam());
+  std::atomic<unsigned> width{0};
+  std::atomic<int> caught{0};
+  std::atomic<unsigned> released{0};
+  rt.parallel([&](ParallelContext& ctx) {
+    if (ctx.thread_num() == 0) {
+      width.store(ctx.num_threads());
+      ctx.task([] { throw std::runtime_error("task body"); });
+    }
+    try {
+      ctx.barrier();
+    } catch (const std::runtime_error&) {
+      caught.fetch_add(1);
+    }
+    ctx.barrier();
+    released.fetch_add(1);
+  });
+  EXPECT_EQ(caught.load(), 1);
+  EXPECT_EQ(released.load(), width.load());
+}
+
+// Threads that arrived at the barrier run the tasks a later arriver spawns
+// (the single-producer pattern).  Thread 0 spawns two tasks after the
+// others arrived, each waiting for the other to start: they can both
+// start only when a waiting thread takes one, under either wait policy.
+TEST_P(PendingCount, BarrierWaitersRunLateTasks) {
+  for (WaitPolicy policy : {WaitPolicy::kActive, WaitPolicy::kPassive}) {
+    Runtime rt = make_width4_runtime(GetParam(), policy);
+    std::atomic<int> started{0};
+    std::atomic<bool> overlapped{true};
+    rt.parallel([&](ParallelContext& ctx) {
+      if (ctx.thread_num() == 0) {
+        std::this_thread::sleep_for(5ms);
+        for (int i = 0; i < 2; ++i) {
+          ctx.task([&] {
+            started.fetch_add(1);
+            if (!spin_until([&] { return started.load() == 2; })) {
+              overlapped.store(false);
+            }
+          });
+        }
+      }
+      ctx.barrier();
+    });
+    EXPECT_EQ(started.load(), 2);
+    EXPECT_TRUE(overlapped.load())
+        << "no waiting thread ran a task (policy "
+        << (policy == WaitPolicy::kActive ? "active" : "passive") << ")";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothBackends, PendingCount,
+    ::testing::Values(BackendKind::kNative, BackendKind::kMca),
+    [](const ::testing::TestParamInfo<BackendKind>& param_info) {
+      return std::string(to_string(param_info.param));
+    });
 
 }  // namespace
 }  // namespace ompmca::gomp

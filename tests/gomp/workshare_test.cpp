@@ -100,7 +100,7 @@ TEST_P(LoopInstanceTest, ChunksCoverRangeExactlyOnce) {
     loop.enter(/*gen=*/0, 0, c.iterations, ScheduleSpec{c.kind, c.chunk},
                c.nthreads);
     long pos = 0, lo = 0, hi = 0;
-    while (loop.next_chunk(tid, &pos, &lo, &hi)) {
+    while (loop.next_chunk(tid, &pos, &lo, &hi, false)) {
       ASSERT_LE(0, lo);
       ASSERT_LT(lo, hi);
       ASSERT_LE(hi, c.iterations);
@@ -146,7 +146,7 @@ TEST(LoopInstance, GuidedChunksDecrease) {
   long pos = 0, lo = 0, hi = 0;
   long first = 0, last = 0;
   bool first_seen = false;
-  while (loop.next_chunk(0, &pos, &lo, &hi)) {
+  while (loop.next_chunk(0, &pos, &lo, &hi, false)) {
     if (!first_seen) {
       first = hi - lo;
       first_seen = true;
@@ -163,7 +163,7 @@ TEST(LoopInstance, RingReuseAcrossGenerations) {
   for (unsigned long gen = 0; gen < 5; ++gen) {
     loop.enter(gen, 0, 10, ScheduleSpec{}, 1);
     long pos = 0, lo, hi;
-    ASSERT_TRUE(loop.next_chunk(0, &pos, &lo, &hi));
+    ASSERT_TRUE(loop.next_chunk(0, &pos, &lo, &hi, false));
     EXPECT_EQ(lo, 0);
     EXPECT_EQ(hi, 10);
     loop.leave();

@@ -18,6 +18,7 @@
 
 #include "check/check.hpp"
 #include "gomp/gomp.hpp"
+#include "obs/telemetry.hpp"
 
 namespace ompmca::obs::trace {
 namespace {
@@ -335,6 +336,59 @@ TEST(Trace, CrashDumpFiresOnSeededCheckViolation) {
 
   check::set_abort_on_violation(was_abort);
   check::reset();
+}
+
+std::size_t loop_chunk_events() {
+  std::size_t n = 0;
+  for (const auto& tt : snapshot()) {
+    for (const auto& e : tt.events) {
+      if (e.type == Type::kLoopChunk) ++n;
+    }
+  }
+  return n;
+}
+
+/// A width-2 region running a dynamic,1 loop of @p iters iterations twice:
+/// once through for_loop and once through the GOMP-style
+/// loop_start/loop_next/loop_end entry points.
+void run_dynamic_loops(long iters) {
+  gomp::RuntimeOptions opts;
+  gomp::Icvs icvs;
+  icvs.num_threads = 2;
+  opts.icvs = icvs;
+  gomp::Runtime rt(opts);
+  const gomp::ScheduleSpec dynamic1{gomp::Schedule::kDynamic, 1};
+  rt.parallel([&](gomp::ParallelContext& ctx) {
+    ctx.for_loop(0, iters, [](long, long) {}, dynamic1);
+    long lo = 0;
+    long hi = 0;
+    for (bool more = ctx.loop_start(0, iters, dynamic1, &lo, &hi); more;
+         more = ctx.loop_next(&lo, &hi)) {
+    }
+    ctx.loop_end();
+  });
+}
+
+// The loop reads the full-trace bit once per construct (the probe's, or
+// latched at loop_start) and still emits one loop_chunk per chunk.
+TEST(Trace, FullModeEmitsOneLoopChunkPerChunk) {
+  ScopedTrace scoped(Mode::kFull);
+  run_dynamic_loops(64);
+  EXPECT_EQ(loop_chunk_events(), 2u * 64u);
+}
+
+// Per-chunk events are full-mode only: metrics alone, or the ring tier,
+// emit none.
+TEST(Trace, LoopChunkEventsStayOffOutsideFullMode) {
+  {
+    ScopedTrace scoped(Mode::kOff);
+    ScopedEnable metrics;
+    run_dynamic_loops(64);
+    EXPECT_EQ(loop_chunk_events(), 0u);
+  }
+  ScopedTrace scoped(Mode::kRing);
+  run_dynamic_loops(64);
+  EXPECT_EQ(loop_chunk_events(), 0u);
 }
 
 TEST(Trace, ModeRoundTripAndCapacityClamp) {
