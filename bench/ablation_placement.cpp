@@ -12,9 +12,10 @@
 //   * a live runtime witness: real teams with real barriers, reporting the
 //     gomp.barrier_local / gomp.barrier_xcluster split and the bubble
 //     counters (and, with --trace, the barrier_tier sub-events for
-//     bench/analyze_trace.py).  The runtime has only the two-tier barrier,
-//     so flat mode derives the flat barrier's split from the team's
-//     cluster map.
+//     bench/analyze_trace.py).  The runtime has only the two-tier barrier
+//     and only bubble placement, so flat mode derives the flat barrier's
+//     split from the team's cluster map and runs no nested-team witness
+//     (its bubble counters read 0).
 //
 // Flags:
 //   --mode=flat|hier  which configuration the artifact describes (default
@@ -98,16 +99,16 @@ ModeNumbers model_mode(const platform::CostModel& model, bool hier) {
       bubble_hw.push_back(h);
     }
   }
-  platform::TeamShape nested_bubble(topo, bubble_hw);
+  platform::TeamShape nested_pinned(topo, bubble_hw);
 
   ModeNumbers m;
   if (hier) {
     m.barrier_top_w24 = model.barrier_seconds_hierarchical(top) * 1e6;
     // The bubble team spans one cluster, where the barrier is one group
     // with no top tier: flat model, 1-cluster shape.
-    m.barrier_nested_w4 = model.barrier_seconds(nested_bubble) * 1e6;
+    m.barrier_nested_w4 = model.barrier_seconds(nested_pinned) * 1e6;
     m.fork_top_w24 = model.fork_seconds(top) * 1e6;
-    m.fork_nested_w4 = model.fork_seconds(nested_bubble) * 1e6;
+    m.fork_nested_w4 = model.fork_seconds(nested_pinned) * 1e6;
   } else {
     m.barrier_top_w24 = model.barrier_seconds(top) * 1e6;
     m.barrier_nested_w4 = model.barrier_seconds(nested_flat) * 1e6;
@@ -126,9 +127,8 @@ struct Witness {
   std::uint64_t team_bubble_spill = 0;
 };
 
-gomp::RuntimeOptions witness_options(bool hier) {
+gomp::RuntimeOptions witness_options() {
   gomp::RuntimeOptions opts;
-  opts.nested_bubble = hier;
   gomp::Icvs icvs;
   icvs.num_threads = 6;
   icvs.nested = true;
@@ -153,7 +153,7 @@ Witness run_witness(bool hier) {
   std::atomic<std::uint64_t> flat_xcluster{0};
   obs::Registry::instance().reset();
   {
-    gomp::Runtime rt(witness_options(hier));
+    gomp::Runtime rt(witness_options());
     rt.parallel([&](gomp::ParallelContext& ctx) {
       for (std::uint64_t i = 0; i < kBarriers; ++i) ctx.barrier();
       const gomp::Team& team = ctx.team();
@@ -173,15 +173,17 @@ Witness run_witness(bool hier) {
   }
 
   // Phase 2 — nested bubble reservations (counted at team construction).
-  obs::Registry::instance().reset();
-  {
-    gomp::Runtime rt(witness_options(hier));
-    rt.parallel([&](gomp::ParallelContext& ctx) {
-      ctx.runtime().parallel(
-          [](gomp::ParallelContext& inner) { inner.barrier(); }, 2);
-    });
-  }
-  {
+  // Bubble placement is the runtime's only nested policy, so only hier
+  // mode describes it.
+  if (hier) {
+    obs::Registry::instance().reset();
+    {
+      gomp::Runtime rt(witness_options());
+      rt.parallel([&](gomp::ParallelContext& ctx) {
+        ctx.runtime().parallel(
+            [](gomp::ParallelContext& inner) { inner.barrier(); }, 2);
+      });
+    }
     obs::Snapshot s = obs::Registry::instance().snapshot();
     w.team_bubble = s.counter(obs::Counter::kGompTeamBubble);
     w.team_bubble_spill = s.counter(obs::Counter::kGompTeamBubbleSpill);

@@ -416,10 +416,17 @@ int main(int argc, char** argv) {
        "local=" + std::to_string(local) + " remote=" + std::to_string(remote)});
   // The acceptance band: a deque spawn+steal+run round trip should sit
   // within an order of magnitude of the loop scheduler's chunk steal (both
-  // pay one steal per unit of work).  Wide band: this host is 1-core and
-  // heavily oversubscribed, so wall-clock noise dominates tight bounds.
-  const double spawn_us = cells[0].second.overhead_us;
-  const double chunk_us = std::max(1e-3, cells[1].second.overhead_us);
+  // pay one steal per unit of work).  The two cells run the same bodies
+  // the same number of times, so their per-unit wall times compare
+  // directly.  overhead_us would not do: it subtracts the serial time, and
+  // the chunk loop's parallel speedup drives its overhead to zero or below.
+  // Wide band: 8 threads on a small or shared host make wall-clock noise
+  // dominate tight bounds.
+  const auto unit_us = [](const Cell& c) {
+    return c.mean_ms * 1e3 / static_cast<double>(std::max(1L, c.units));
+  };
+  const double spawn_us = unit_us(cells[0].second);
+  const double chunk_us = std::max(1e-3, unit_us(cells[1].second));
   const double ratio = spawn_us / chunk_us;
   checks.push_back({"spawn_within_band_of_chunk_steal",
                     ratio > 1.0 / 32 && ratio < 32,

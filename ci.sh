@@ -175,7 +175,8 @@ else
 fi
 # ompmca-lint always runs: the regex rules (hook parity, fault-site
 # recovery policies, seq_cst justifications, (void)-discard reasons,
-# OMPMCA_NO_TSA justifications) need only python3; libclang upgrades the
+# OMPMCA_NO_TSA justifications, README knob-table coverage) need only
+# python3; libclang upgrades the
 # ignored-status rule to a type-aware pass when present.
 if command -v python3 >/dev/null 2>&1; then
   python3 tools/lint/ompmca_lint.py

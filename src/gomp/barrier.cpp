@@ -6,13 +6,14 @@
 #include "check/check.hpp"
 #include "common/spin.hpp"
 #include "common/time.hpp"
+#include "gomp/backend.hpp"
 
 namespace ompmca::gomp {
 
 HierarchicalBarrier::HierarchicalBarrier(unsigned nthreads, WaitPolicy policy,
                                          const unsigned* cluster_of_thread,
-                                         ClusterMemory* mem)
-    : n_(nthreads), policy_(policy), mem_(mem) {
+                                         SystemBackend* backend)
+    : n_(nthreads), policy_(policy), backend_(backend) {
   assert(nthreads >= 1);
   group_of_thread_.resize(n_);
   // Dense group indices in first-appearance order, so group 0 is the
@@ -29,9 +30,9 @@ HierarchicalBarrier::HierarchicalBarrier(unsigned nthreads, WaitPolicy policy,
   groups_.resize(cluster_of_group_.size());
   group_from_mem_.resize(cluster_of_group_.size(), false);
   for (unsigned g = 0; g < groups_.size(); ++g) {
-    void* slab = mem_ ? mem_->acquire(cluster_of_group_[g],
-                                      sizeof(ClusterTier))
-                      : nullptr;
+    void* slab = backend_ ? backend_->allocate_on_cluster(
+                                sizeof(ClusterTier), cluster_of_group_[g])
+                          : nullptr;
     if (slab != nullptr) {
       groups_[g] = ::new (slab) ClusterTier();
       group_from_mem_[g] = true;
@@ -48,7 +49,7 @@ HierarchicalBarrier::~HierarchicalBarrier() {
   for (unsigned g = 0; g < groups_.size(); ++g) {
     if (group_from_mem_[g]) {
       groups_[g]->~ClusterTier();
-      mem_->release(cluster_of_group_[g], groups_[g]);
+      backend_->deallocate(groups_[g]);
     } else {
       delete groups_[g];
     }

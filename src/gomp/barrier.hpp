@@ -67,29 +67,21 @@ class BarrierWaiter {
   ~BarrierWaiter() = default;
 };
 
-/// Cluster-local storage hook for barrier state.  acquire() returns a
-/// cache-line-aligned block homed in @p cluster's memory domain (the
-/// per-cluster arena sub-pool), or nullptr when the caller should fall back
-/// to the process heap.  Implemented by gomp::ClusterSlabCache (pool.hpp).
-class ClusterMemory {
- public:
-  virtual ~ClusterMemory() = default;
-  virtual void* acquire(unsigned cluster, std::size_t bytes) = 0;
-  virtual void release(unsigned cluster, void* p) = 0;
-};
+class SystemBackend;
 
 /// Per occupied cluster one padded ClusterTier (counter + sense + cv)
-/// lives — when a ClusterMemory is supplied — inside that cluster's modeled
-/// L2 domain; the top tier is a single counter over group leaders.  Each
-/// thread only ever waits on its own group's flag, so the spin/park line is
-/// cluster-local.
+/// lives — when a backend is supplied — inside that cluster's modeled L2
+/// domain (SystemBackend::allocate_on_cluster; the process heap when the
+/// backend cannot place it); the top tier is a single counter over group
+/// leaders.  Each thread only ever waits on its own group's flag, so the
+/// spin/park line is cluster-local.
 class HierarchicalBarrier {
  public:
   /// @p cluster_of_thread maps tid -> hardware cluster id (nthreads
   /// entries, read during construction only); nullptr means one cluster.
   HierarchicalBarrier(unsigned nthreads, WaitPolicy policy,
                       const unsigned* cluster_of_thread,
-                      ClusterMemory* mem = nullptr);
+                      SystemBackend* backend = nullptr);
   ~HierarchicalBarrier();
 
   HierarchicalBarrier(const HierarchicalBarrier&) = delete;
@@ -121,7 +113,7 @@ class HierarchicalBarrier {
 
   unsigned n_;
   WaitPolicy policy_;
-  ClusterMemory* mem_;
+  SystemBackend* backend_;
   std::vector<unsigned> group_of_thread_;  // tid -> dense group index
   std::vector<unsigned> cluster_of_group_;  // dense group -> hw cluster id
   std::vector<ClusterTier*> groups_;

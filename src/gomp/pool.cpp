@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "check/check.hpp"
-#include "common/env.hpp"
 #include "common/log.hpp"
 #include "common/spin.hpp"
 #include "common/time.hpp"
@@ -24,6 +23,11 @@ namespace {
 /// Cap on distinct clusters the lease scorer tracks (stack arrays, no
 /// allocation on the fork path); real boards have a handful.
 constexpr unsigned kMaxLeaseClusters = 32;
+
+/// Grace window a contended master waits for worker leases before it
+/// degrades its team width instead of blocking.  Server-shaped regions are
+/// brief, so a peer's join usually returns its lease inside it.
+constexpr std::uint64_t kLeaseWaitNs = 20'000;
 
 unsigned lowest_bit(std::uint64_t v) {
   return static_cast<unsigned>(std::countr_zero(v));
@@ -93,12 +97,6 @@ ThreadPool::ThreadPool(SystemBackend& backend, WaitPolicy wait_policy,
       workers_free_(max_workers_ >= 64 ? ~std::uint64_t{0}
                                        : (std::uint64_t{1} << max_workers_) - 1),
       worker_cluster_(max_workers_, 0) {
-  // Bounded lease wait before a contended master degrades width instead of
-  // blocking; 0 disables waiting entirely.
-  lease_wait_ns_ = 20'000;
-  if (auto ns = env_long_clamped("OMPMCA_LEASE_WAIT_NS", 0, 1'000'000'000L)) {
-    lease_wait_ns_ = static_cast<std::uint64_t>(*ns);
-  }
   // Fixed-size bell bank: workers capture their Bell& at launch, and
   // masters index it concurrently, so it must never reallocate.
   bells_.reserve(max_workers_);
@@ -127,9 +125,9 @@ ThreadPool::~ThreadPool() {
       (void)backend_.join_thread(i);  // destructor: nowhere to report failure
     }
   }
-  if (slab_mem_ != nullptr) {
+  if (slots_ != slots_inline_) {
     for (unsigned s = 0; s < kMaxSlots; ++s) slots_[s].~DispatchSlot();
-    slab_mem_->release(slab_cluster_, slots_);
+    backend_.deallocate(slots_);
   }
 }
 
@@ -142,56 +140,15 @@ void ThreadPool::set_worker_clusters(std::vector<unsigned> clusters,
   worker_cluster_ = std::move(clusters);
 }
 
-void ThreadPool::home_slab(ClusterMemory* mem, unsigned cluster) {
+void ThreadPool::home_slab(unsigned cluster) {
   assert(workers_launched() == 0 && "home_slab after workers started");
-  if (mem == nullptr || slab_mem_ != nullptr) return;
-  void* p = mem->acquire(cluster, sizeof(DispatchSlot) * kMaxSlots);
+  if (slots_ != slots_inline_) return;
+  void* p =
+      backend_.allocate_on_cluster(sizeof(DispatchSlot) * kMaxSlots, cluster);
   if (p == nullptr) return;
   auto* bank = static_cast<DispatchSlot*>(p);
   for (unsigned s = 0; s < kMaxSlots; ++s) ::new (&bank[s]) DispatchSlot();
   slots_ = bank;
-  slab_mem_ = mem;
-  slab_cluster_ = cluster;
-}
-
-// --- ClusterSlabCache --------------------------------------------------------
-
-ClusterSlabCache::~ClusterSlabCache() {
-  MutexLock lk(mu_);
-  for (auto& [cluster, slabs] : cache_) {
-    for (Slab& s : slabs) backend_.deallocate(s.p);
-  }
-  // live_ should be empty here (every barrier retires before the runtime);
-  // anything left is the caller's leak, not ours to free blind.
-}
-
-void* ClusterSlabCache::acquire(unsigned cluster, std::size_t bytes) {
-  MutexLock lk(mu_);
-  auto it = cache_.find(cluster);
-  if (it != cache_.end()) {
-    auto& slabs = it->second;
-    for (std::size_t i = 0; i < slabs.size(); ++i) {
-      if (slabs[i].bytes >= bytes) {
-        void* p = slabs[i].p;
-        live_[p] = slabs[i].bytes;
-        slabs[i] = slabs.back();
-        slabs.pop_back();
-        return p;
-      }
-    }
-  }
-  void* p = backend_.allocate_on_cluster(bytes, cluster);
-  if (p != nullptr) live_[p] = bytes;
-  return p;
-}
-
-void ClusterSlabCache::release(unsigned cluster, void* p) {
-  if (p == nullptr) return;
-  MutexLock lk(mu_);
-  auto it = live_.find(p);
-  if (it == live_.end()) return;
-  cache_[cluster].push_back(Slab{p, it->second});
-  live_.erase(it);
 }
 
 // --- dispatch ----------------------------------------------------------------
@@ -391,7 +348,7 @@ std::uint64_t ThreadPool::try_lease(unsigned wanted, unsigned preferred) {
 std::uint64_t ThreadPool::lease_workers(unsigned wanted, unsigned preferred) {
   std::uint64_t lease = try_lease(wanted, preferred);
   unsigned got = popcount64(lease);
-  if (got < wanted && lease_wait_ns_ > 0) {
+  if (got < wanted) {
     // Bounded wait-then-degrade: a short grace window lets a peer master's
     // join return its lease (server-shaped regions are brief), but a master
     // never parks here — degrading width keeps this tenant's dispatch
@@ -404,7 +361,7 @@ std::uint64_t ThreadPool::lease_workers(unsigned wanted, unsigned preferred) {
       backoff.pause();
       lease |= try_lease(wanted - got, preferred);
       got = popcount64(lease);
-    } while (got < wanted && monotonic_nanos() - t0 < lease_wait_ns_);
+    } while (got < wanted && monotonic_nanos() - t0 < kLeaseWaitNs);
     if (obs::enabled()) {
       const std::uint64_t waited = monotonic_nanos() - t0;
       obs::record(obs::Hist::kGompLeaseWaitNs, waited);
@@ -638,14 +595,6 @@ void ThreadPool::stall_probe(void* ctx, std::uint64_t now_ns,
     }
     out.push_back(r);
   }
-}
-
-void ThreadPool::run(unsigned nthreads, FunctionRef<void(unsigned)> fn) {
-  Dispatch d;
-  const unsigned actual = prepare(d, nthreads);
-  start_team(d, actual, fn);
-  fn(0);
-  wait_team(d);
 }
 
 }  // namespace ompmca::gomp

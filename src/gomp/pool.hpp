@@ -19,7 +19,7 @@
 //  * Region entry (prepare): the master claims a DispatchSlot (slot bitmap
 //    CAS) and leases workers from the free bitmap — cluster-affine first
 //    (the caller's preferred cluster), then least-loaded by free count.
-//    Under pressure the lease waits a bounded OMPMCA_LEASE_WAIT_NS and then
+//    Under pressure the lease waits a bounded 20 µs grace window and then
 //    degrades the team width rather than blocking (gomp.lease_degraded /
 //    gomp.lease_wait_ns account for it); a second region in flight counts
 //    gomp.team_multiplexed.
@@ -60,7 +60,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -69,7 +68,6 @@
 #include "common/locks.hpp"
 #include "common/function_ref.hpp"
 #include "gomp/backend.hpp"
-#include "gomp/barrier.hpp"
 #include "gomp/icv.hpp"
 #include "obs/monitor.hpp"
 
@@ -77,37 +75,6 @@ namespace ompmca::gomp {
 
 /// Worker lifecycle: the pool's workers persist, parked between regions.
 enum class PoolMode { kPersistent };
-
-/// ClusterMemory over SystemBackend::allocate_on_cluster with a free-list
-/// cache: the team barrier allocates one ClusterTier per occupied
-/// cluster per team build, and a slot's hot team is rebuilt whenever the
-/// region shape changes, so released blocks are kept per cluster and reused
-/// instead of round-tripping through the backend (an MRAPI segment create
-/// under the MCA backend) on every rebuild.  acquire() returns nullptr when
-/// the backend cannot place the block — callers fall back to the process
-/// heap.
-class ClusterSlabCache final : public ClusterMemory {
- public:
-  explicit ClusterSlabCache(SystemBackend& backend) : backend_(backend) {}
-  ~ClusterSlabCache() override;
-
-  void* acquire(unsigned cluster, std::size_t bytes) override
-      OMPMCA_EXCLUDES(mu_);
-  void release(unsigned cluster, void* p) override OMPMCA_EXCLUDES(mu_);
-
- private:
-  struct Slab {
-    void* p = nullptr;
-    std::size_t bytes = 0;
-  };
-
-  SystemBackend& backend_;
-  CapMutex mu_;
-  // cluster -> free slabs
-  std::map<unsigned, std::vector<Slab>> cache_ OMPMCA_GUARDED_BY(mu_);
-  // outstanding sizes
-  std::map<void*, std::size_t> live_ OMPMCA_GUARDED_BY(mu_);
-};
 
 class ThreadPool {
  public:
@@ -168,10 +135,6 @@ class ThreadPool {
   /// the lease and the slot so other masters can claim them.
   void wait_team(Dispatch& d, FunctionRef<void()> joined = {});
 
-  /// Convenience: prepare + start_team + fn(0) + wait_team.  The team may
-  /// be narrower than requested if workers failed to launch.
-  void run(unsigned nthreads, FunctionRef<void(unsigned)> fn);
-
   unsigned workers_launched() const {
     return workers_launched_.load(std::memory_order_relaxed);
   }
@@ -182,15 +145,13 @@ class ThreadPool {
   void set_worker_clusters(std::vector<unsigned> clusters,
                            unsigned num_clusters);
 
-  /// Re-homes the dispatch-slot bank in @p cluster's memory domain via
-  /// @p mem (the masters' descriptors are the fork-path hot stores).  Must
-  /// be called before the first region: workers read slots with no
-  /// synchronisation beyond their mailbox word.  No-op when @p mem cannot
-  /// place the block; the inline bank keeps serving.
-  void home_slab(ClusterMemory* mem, unsigned cluster);
-
-  /// True when the slot bank lives in cluster memory (tests/telemetry).
-  bool slab_cluster_homed() const { return slab_mem_ != nullptr; }
+  /// Re-homes the dispatch-slot bank in @p cluster's memory domain through
+  /// the backend's allocate_on_cluster (the masters' descriptors are the
+  /// fork-path hot stores).  Must be called before the first region:
+  /// workers read slots with no synchronisation beyond their mailbox word.
+  /// No-op when the backend cannot place the block; the inline bank keeps
+  /// serving.
+  void home_slab(unsigned cluster);
 
  private:
   // Mailbox layout: [seq:48][slot:8][tid:8].  The slot byte routes the
@@ -280,7 +241,7 @@ class ThreadPool {
                           unsigned preferred) const;
   /// CAS-claims up to @p wanted workers from the free set (no waiting).
   std::uint64_t try_lease(unsigned wanted, unsigned preferred);
-  /// try_lease plus the bounded OMPMCA_LEASE_WAIT_NS wait-then-degrade.
+  /// try_lease plus the bounded kLeaseWaitNs wait-then-degrade.
   std::uint64_t lease_workers(unsigned wanted, unsigned preferred);
   void release_lease(std::uint64_t lease);
   /// Makes sure every leased worker's thread exists, dropping (and
@@ -294,16 +255,13 @@ class ThreadPool {
   // waited for, so all spin windows collapse to zero there.
   bool can_spin_;
   unsigned max_workers_;
-  std::uint64_t lease_wait_ns_;
 
   // --- dispatch slots ---------------------------------------------------------
   alignas(kCacheLineBytes) std::atomic<std::uint32_t> slots_free_;
   DispatchSlot slots_inline_[kMaxSlots];
   // Points at slots_inline_ unless home_slab moved the bank into cluster
-  // memory.
+  // memory (then freed through backend_.deallocate).
   DispatchSlot* slots_ = slots_inline_;
-  ClusterMemory* slab_mem_ = nullptr;
-  unsigned slab_cluster_ = 0;
   std::atomic<std::uint64_t> seq_{0};  // global dispatch sequence
   std::atomic<unsigned> in_flight_{0};
   std::atomic<bool> exit_{false};

@@ -1,7 +1,6 @@
 #include "gomp/runtime.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <string_view>
@@ -123,33 +122,17 @@ Runtime::Runtime(RuntimeOptions opts)
       backend_(make_backend(opts_)) {
   icvs_ = opts_.icvs ? *opts_.icvs : Icvs::from_env(backend_->num_procs());
   icvs_.num_threads = std::min(icvs_.num_threads, icvs_.thread_limit);
-  // The environment knob overrides the option default (a runtime-tuning
-  // switch, same spirit as OMP_WAIT_POLICY).
-  nested_bubble_ = opts_.nested_bubble;
-  if (const char* env = std::getenv("OMPMCA_NESTED_PLACEMENT")) {
-    const std::string_view v(env);
-    if (v == "flat") {
-      nested_bubble_ = false;
-    } else if (v == "bubble") {
-      nested_bubble_ = true;
-    } else {
-      OMPMCA_LOG_WARN(
-          "OMPMCA_NESTED_PLACEMENT=%s: expected flat|bubble, ignoring", env);
-    }
-  }
   const platform::Topology& topo = opts_.topology;
   const unsigned per_cluster =
       topo.num_clusters() > 0 ? topo.num_hw_threads() / topo.num_clusters()
                               : topo.num_hw_threads();
   occupancy_ = std::make_unique<platform::ClusterOccupancy>(
       topo.num_clusters(), per_cluster);
-  cluster_mem_ = std::make_unique<ClusterSlabCache>(*backend_);
   pool_ = std::make_unique<ThreadPool>(*backend_, icvs_.wait_policy,
                                        opts_.pool_max_workers);
   // Masters write their dispatch slots every fork; home the slot bank in
   // the primary master's cluster — placement(0) under either policy.
-  pool_->home_slab(cluster_mem_.get(),
-                   topo.cluster_of_hw_thread(topo.placement(0)));
+  pool_->home_slab(topo.cluster_of_hw_thread(topo.placement(0)));
   // Worker index -> home cluster for the lease policy's affinity scoring
   // (index i historically ran as tid i + 1; keep that placement model).
   std::vector<unsigned> worker_clusters(ThreadPool::kMaxWorkers);
@@ -161,14 +144,12 @@ Runtime::Runtime(RuntimeOptions opts)
 
 Runtime::~Runtime() {
   // Pool (and its backend threads / MRAPI worker nodes) must retire before
-  // the backend is destroyed; it releases its slab into cluster_mem_, which
-  // frees through the backend, so the order is pool -> cache -> backend.
+  // the backend is destroyed; it frees its slab through the backend.
   pool_.reset();
   // Hot teams after the pool (no worker can still be inside one) and
-  // before cluster_mem_, which their barriers release into.
+  // before the backend, which their barriers free into.
   for (auto& team : hot_teams_) team.reset();
   criticals_.clear();
-  cluster_mem_.reset();
   backend_.reset();
 }
 
@@ -325,7 +306,7 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
 Team& Runtime::hot_team(int slot, unsigned n, ParallelContext* outer) {
   std::unique_ptr<Team>& team = hot_teams_[static_cast<unsigned>(slot)];
   if (team == nullptr || team->nthreads() != n || !team->rearm(outer)) {
-    team.reset();  // its cluster-homed barrier returns to the cache first
+    team.reset();  // frees its cluster-homed barrier tiers first
     team = std::make_unique<Team>(*this, n, outer);
   }
   return *team;

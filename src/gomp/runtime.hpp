@@ -37,11 +37,6 @@ struct RuntimeOptions {
   /// Read by nothing: every team runs the one barrier (barrier.hpp).  Kept
   /// because perfbench/workloads.cpp still assigns it.
   BarrierKind barrier = BarrierKind::kAuto;
-  /// Nested-team bubble placement: pin a nested region that fits inside one
-  /// cluster to a single cluster (the master's, spilling to the
-  /// least-loaded) instead of scattering it board-wide.
-  /// OMPMCA_NESTED_PLACEMENT=flat|bubble overrides.
-  bool nested_bubble = true;
   /// Read by nothing: the pool has one worker lifecycle.  Kept because
   /// perfbench/workloads.cpp still assigns it.
   PoolMode pool_mode = PoolMode::kPersistent;
@@ -80,11 +75,8 @@ class Runtime {
   const Icvs& icvs() const { return icvs_; }
   const platform::Topology& topology() const { return opts_.topology; }
   ThreadPool& pool() { return *pool_; }
-  /// Cluster-homed slab allocator for barrier/team state (never null).
-  ClusterMemory* cluster_memory() { return cluster_mem_.get(); }
   /// Per-cluster load accounting behind nested-team bubble placement.
   platform::ClusterOccupancy& occupancy() { return *occupancy_; }
-  bool nested_bubble() const { return nested_bubble_; }
 
   unsigned max_threads() const { return env_icvs().num_threads; }
 
@@ -153,10 +145,8 @@ class Runtime {
   RuntimeOptions opts_;
   std::unique_ptr<SystemBackend> backend_;
   Icvs icvs_;
-  bool nested_bubble_ = true;
-  // Destruction order matters: pool_ (workers, slab) retires into
-  // cluster_mem_, which frees through backend_ — see ~Runtime.
-  std::unique_ptr<ClusterSlabCache> cluster_mem_;
+  // Destruction order matters: pool_ (workers, slab) and the hot teams'
+  // barriers free through backend_ — see ~Runtime.
   std::unique_ptr<platform::ClusterOccupancy> occupancy_;
   std::unique_ptr<ThreadPool> pool_;
   // One hot team per dispatch slot (see team.hpp): only the master holding

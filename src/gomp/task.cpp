@@ -4,7 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "common/env.hpp"
 #include "common/time.hpp"
 #include "fault/fault.hpp"
 #include "obs/telemetry.hpp"
@@ -17,6 +16,8 @@ namespace {
 // progress epoch.  Waits loop only while tasks exist (an empty system's
 // drain returns on its first load), so the value tunes no common path.
 constexpr long kIdleSpins = 100;
+// Chunks an adaptive-grain taskloop aims for per team thread.
+constexpr long kTaskloopTasksPerThread = 8;
 }  // namespace
 
 TaskSystem::TaskSystem(unsigned nthreads, const unsigned* cluster_of_thread)
@@ -26,10 +27,6 @@ TaskSystem::TaskSystem(unsigned nthreads, const unsigned* cluster_of_thread)
   for (unsigned i = 0; i < nthreads_; ++i) {
     deques_.push_back(std::make_unique<TaskDeque>());
   }
-  taskloop_grain_ =
-      env_long_clamped("OMPMCA_TASKLOOP_GRAIN", 0, 1L << 30).value_or(0);
-  taskloop_tasks_per_thread_ =
-      env_long_clamped("OMPMCA_TASKLOOP_TASKS_PER_THREAD", 1, 4096).value_or(8);
 }
 
 TaskSystem::~TaskSystem() { release_dependences(); }
@@ -249,12 +246,12 @@ void TaskSystem::taskloop(unsigned tid, Task** current_slot, long begin,
     return;
   }
   const long n = end - begin;
-  long g = grain > 0 ? grain : taskloop_grain_;
+  long g = grain;
   if (g <= 0) {
-    // Adaptive grain from the queue-depth signal: aim for tasks_per_thread
+    // Adaptive grain from the queue-depth signal: kTaskloopTasksPerThread
     // chunks per worker, minus the backlog already queued.
     const long target_total =
-        taskloop_tasks_per_thread_ * static_cast<long>(nthreads_);
+        kTaskloopTasksPerThread * static_cast<long>(nthreads_);
     const long backlog = static_cast<long>(queued());
     const long target = std::max<long>(1, target_total - backlog);
     g = std::max<long>(1, (n + target - 1) / target);

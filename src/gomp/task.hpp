@@ -131,9 +131,9 @@ class TaskSystem {
 
   /// Divides [begin, end) into grain-sized chunk tasks and waits for all
   /// of them (an implicit taskgroup, per the spec).  grain <= 0 selects
-  /// the adaptive policy: target OMPMCA_TASKLOOP_TASKS_PER_THREAD tasks
-  /// per worker, shrunk by the current queue backlog (the telemetry
-  /// queue-depth signal) — deep queues mean more tasks help nobody.
+  /// the adaptive policy: target 8 tasks per worker, shrunk by the current
+  /// queue backlog (the telemetry queue-depth signal) — deep queues mean
+  /// more tasks help nobody.
   void taskloop(unsigned tid, Task** current_slot, long begin, long end,
                 long grain, const std::function<void(long, long)>& body);
 
@@ -216,10 +216,6 @@ class TaskSystem {
   CapMutex deps_mu_;
   std::unordered_map<const void*, DepAddr> dep_table_
       OMPMCA_GUARDED_BY(deps_mu_);
-
-  // Tuning (read from the environment at construction).
-  long taskloop_grain_ = 0;  // OMPMCA_TASKLOOP_GRAIN: fixed grain, 0=adaptive
-  long taskloop_tasks_per_thread_ = 8;  // OMPMCA_TASKLOOP_TASKS_PER_THREAD
 };
 
 /// RAII for a taskgroup-shaped region (taskgroup construct, taskloop's

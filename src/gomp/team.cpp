@@ -107,8 +107,7 @@ Team::Team(Runtime& rt, unsigned nthreads, ParallelContext* parent_ctx)
   // ParallelContext::barrier() degenerates to a task drain.
   if (nthreads_ > 1) {
     barrier_ = std::make_unique<HierarchicalBarrier>(
-        nthreads_, wait_policy_, cluster_of_thread_.data(),
-        rt.cluster_memory());
+        nthreads_, wait_policy_, cluster_of_thread_.data(), &rt.backend());
   }
   arm(parent_ctx);
 }
@@ -143,8 +142,7 @@ bool Team::place(ParallelContext* parent_ctx) {
   // nested team would span all three clusters and pay CoreNet on every
   // barrier; as a bubble its barrier is one in-cluster group.
   bubble_cluster_.reset();
-  if (parent_ctx != nullptr && nthreads_ > 1 && rt_.nested_bubble() &&
-      topo.num_clusters() > 1 &&
+  if (parent_ctx != nullptr && nthreads_ > 1 && topo.num_clusters() > 1 &&
       nthreads_ <= topo.num_hw_threads() / topo.num_clusters()) {
     const unsigned preferred =
         parent_ctx->team().cluster_of_thread(parent_ctx->thread_num());

@@ -68,8 +68,6 @@ class LoopInstance {
   void ordered_wait(long iter);
   void ordered_post();
 
-  ScheduleSpec spec() const { return spec_; }
-
   /// True when this generation hands out distributed per-thread ranges
   /// (the work-stealing path) rather than a shared cursor.
   bool distributed() const { return distributed_; }

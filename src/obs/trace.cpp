@@ -131,12 +131,6 @@ struct TraceRegistry {
                      v->c_str());
       }
     }
-    if (auto n = env_long_clamped("OMPMCA_TRACE_RING",
-                                  static_cast<long>(kMinRingEvents),
-                                  static_cast<long>(kMaxRingEvents))) {
-      ring_capacity.store(round_pow2(static_cast<std::size_t>(*n)),
-                          std::memory_order_relaxed);
-    }
     if (auto f = env_string("OMPMCA_TRACE_FILE")) export_path = *f;
     if (!export_path.empty() && enabled()) {
       std::atexit([] {

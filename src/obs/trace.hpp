@@ -13,8 +13,9 @@
 //  * `OMPMCA_TRACE=off|ring|full` sets the trace bits of the spine's gate
 //    (spine.hpp).  Disabled hooks cost that one relaxed load and a
 //    predictable branch, the same load telemetry's hooks pay.
-//    `ring` keeps only the newest OMPMCA_TRACE_RING events per thread (flight
-//    recorder); `full` archives every wrapped-out chunk so nothing is lost;
+//    `ring` keeps only the newest 4096 events per thread (flight recorder;
+//    set_ring_capacity resizes it); `full` archives every wrapped-out chunk
+//    so nothing is lost;
 //  * `OMPMCA_TRACE_FILE=<path>` exports Chrome/Perfetto JSON at process exit;
 //    benches do the same on demand via write_chrome_json().  The export
 //    carries per-thread tracks and flow arrows from each doorbell ring to the

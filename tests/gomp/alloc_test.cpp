@@ -85,9 +85,10 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 }
 #pragma GCC diagnostic pop
 
-// Counting getenv: TaskSystem's tuning knobs are read at construction, so a
-// getenv on a warm fork means something was rebuilt.  Scans environ itself
-// rather than forwarding, so it needs no dynamic-loader lookup.
+// Counting getenv: the runtime reads the environment only while it is being
+// set up, so a getenv on any fork — warm or rebuilding — is a regression.
+// Scans environ itself rather than forwarding, so it needs no
+// dynamic-loader lookup.
 extern "C" char* getenv(const char* name) noexcept {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_getenvs.fetch_add(1, std::memory_order_relaxed);
@@ -184,6 +185,28 @@ TEST_P(ZeroAllocForkTest, NestedTwoInTwoReusesItsTeams) {
   const Counts c = count_after_warmup(region, 1000);
   EXPECT_EQ(inner_threads.load(), 4 * 1003);
   EXPECT_EQ(c.allocs, 0);
+  EXPECT_EQ(c.getenvs, 0);
+}
+
+TEST_P(ZeroAllocForkTest, HotTeamRebuildReadsNoEnvironment) {
+  // Alternating widths 3 and 4 means no fork finds its slot's hot team in
+  // the right shape: every region rebuilds the Team (task system, barrier
+  // and all).  Rebuilds allocate, but none may consult the environment.
+  Runtime rt = make_runtime(GetParam());
+  std::atomic<long> ran{0};
+  unsigned width = 3;
+  auto region = [&] {
+    rt.parallel(
+        [&](ParallelContext&) { ran.fetch_add(1, std::memory_order_relaxed); },
+        width);
+    width = width == 3 ? 4 : 3;
+  };
+  constexpr int kReps = 100;
+  const Counts c = count_after_warmup(region, kReps);
+  // Warm-up widths 3, 4, 3; then kReps forks alternating 4, 3.
+  EXPECT_EQ(ran.load(), (3 + 4 + 3) + (kReps / 2) * (4 + 3));
+  // Witness that the rebuild path ran: each rebuild allocates a Team.
+  EXPECT_GE(c.allocs, kReps);
   EXPECT_EQ(c.getenvs, 0);
 }
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <new>
+#include <map>
 #include <thread>
 #include <vector>
+
+#include "gomp/backend_native.hpp"
 
 namespace ompmca::gomp {
 namespace {
@@ -121,31 +123,54 @@ TEST(HierarchicalBarrier, GroupCountMatchesOccupiedClusters) {
             1u);
 }
 
-// A counting ClusterMemory: hands out heap blocks but records which cluster
-// each acquire/release was attributed to.
-class RecordingClusterMemory final : public ClusterMemory {
+// A recording backend: serves every call from a NativeBackend but records
+// which cluster each cluster-homed allocation, and its later deallocation,
+// was attributed to.
+class RecordingBackend final : public SystemBackend {
  public:
-  void* acquire(unsigned cluster, std::size_t bytes) override {
+  std::string_view name() const override { return "recording"; }
+  Status launch_thread(unsigned index, std::function<void()> fn) override {
+    return inner_.launch_thread(index, std::move(fn));
+  }
+  Status join_thread(unsigned index) override {
+    return inner_.join_thread(index);
+  }
+  void* allocate(std::size_t bytes) override { return inner_.allocate(bytes); }
+  void deallocate(void* p) override {
+    if (auto it = cluster_of_.find(p); it != cluster_of_.end()) {
+      releases.push_back(it->second);
+      cluster_of_.erase(it);
+    }
+    inner_.deallocate(p);
+  }
+  void* allocate_on_cluster(std::size_t bytes, unsigned cluster) override {
+    void* p = inner_.allocate_on_cluster(bytes, cluster);
     acquires.push_back(cluster);
-    return ::operator new(bytes, std::align_val_t{kCacheLineBytes});
+    cluster_of_[p] = cluster;
+    return p;
   }
-  void release(unsigned cluster, void* p) override {
-    releases.push_back(cluster);
-    ::operator delete(p, std::align_val_t{kCacheLineBytes});
+  std::unique_ptr<BackendMutex> create_mutex() override {
+    return inner_.create_mutex();
   }
+  unsigned num_procs() override { return inner_.num_procs(); }
+
   std::vector<unsigned> acquires;
   std::vector<unsigned> releases;
+
+ private:
+  NativeBackend inner_{platform::Topology::t4240rdb()};
+  std::map<void*, unsigned> cluster_of_;
 };
 
 TEST(HierarchicalBarrier, HomesTierStatePerCluster) {
-  RecordingClusterMemory mem;
+  RecordingBackend backend;
   const std::vector<unsigned> map{0, 1, 2, 0, 1, 2};
   {
-    HierarchicalBarrier b(6, WaitPolicy::kPassive, map.data(), &mem);
+    HierarchicalBarrier b(6, WaitPolicy::kPassive, map.data(), &backend);
     // One tier allocation per occupied cluster, attributed to that cluster.
-    ASSERT_EQ(mem.acquires.size(), 3u);
-    EXPECT_EQ(mem.acquires, (std::vector<unsigned>{0, 1, 2}));
-    EXPECT_TRUE(mem.releases.empty());
+    ASSERT_EQ(backend.acquires.size(), 3u);
+    EXPECT_EQ(backend.acquires, (std::vector<unsigned>{0, 1, 2}));
+    EXPECT_TRUE(backend.releases.empty());
 
     // The barrier still works with externally homed state.
     std::vector<std::thread> threads;
@@ -162,7 +187,7 @@ TEST(HierarchicalBarrier, HomesTierStatePerCluster) {
     EXPECT_EQ(after.load(), 6);
   }
   // Destruction releases every acquired block back to its cluster.
-  EXPECT_EQ(mem.releases, mem.acquires);
+  EXPECT_EQ(backend.releases, backend.acquires);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -41,21 +40,6 @@ bool spin_until(Pred pred,
   }
   return true;
 }
-
-/// Sets an environment variable for the scope (the pool reads
-/// OMPMCA_LEASE_WAIT_NS at construction).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-};
 
 class ConcurrentMastersTest : public ::testing::TestWithParam<BackendKind> {};
 
@@ -151,7 +135,6 @@ TEST(ConcurrentMasters, MultiplexedDispatchWitness) {
 // on the stranger's join: it degrades to the workers it can get (here:
 // none) and completes while the first region is still open.
 TEST(ConcurrentMasters, LeasePressureDegradesWidthNotBlocks) {
-  ScopedEnv wait("OMPMCA_LEASE_WAIT_NS", "1000");
   obs::ScopedEnable telemetry;
   RuntimeOptions opts;
   Icvs icvs;

@@ -397,7 +397,6 @@ TEST_P(RuntimeBackendTest, NestedTeamGetsBubblePlacement) {
   opts.icvs->nested = true;
   opts.icvs->max_active_levels = 2;
   Runtime rt(opts);
-  ASSERT_TRUE(rt.nested_bubble());
   std::atomic<int> bubbled{0}, inner_total{0};
   rt.parallel([&](ParallelContext& ctx) {
     ctx.runtime().parallel(
@@ -421,25 +420,6 @@ TEST_P(RuntimeBackendTest, NestedTeamGetsBubblePlacement) {
   // Three clusters of capacity 8 can hold three 2-wide bubbles: every
   // nested team must have been placed.
   EXPECT_EQ(bubbled.load(), 3);
-}
-
-TEST_P(RuntimeBackendTest, NestedPlacementFlatKnobDisablesBubbles) {
-  auto opts = options_for(GetParam(), 3);
-  opts.icvs->nested = true;
-  opts.icvs->max_active_levels = 2;
-  opts.nested_bubble = false;
-  Runtime rt(opts);
-  EXPECT_FALSE(rt.nested_bubble());
-  std::atomic<int> bubbled{0};
-  rt.parallel([&](ParallelContext& ctx) {
-    ctx.runtime().parallel(
-        [&](ParallelContext& inner) {
-          if (inner.team().bubble_cluster().has_value()) bubbled.fetch_add(1);
-          inner.barrier();
-        },
-        2);
-  });
-  EXPECT_EQ(bubbled.load(), 0);
 }
 
 /// Either real backend behind a launch_thread probe: counts every launch

@@ -5,6 +5,7 @@
 #include <atomic>
 
 #include "check/check.hpp"
+#include "common/env.hpp"
 #include "common/status.hpp"
 #include "fault/fault.hpp"
 
@@ -34,5 +35,13 @@ inline bool unrecovered_point() {
 // seed 5 [no-tsa]: an opt-out with no tsa justification anywhere near it.
 
 inline void naked_opt_out() OMPMCA_NO_TSA;
+
+// seed 6 [env-knob]: a variable the fixture README's knob table does not
+// list.  Its neighbour is listed and must stay silent; the table's stale
+// row (a variable nothing here reads) is seed 7, reported in README.md.
+inline bool read_knobs() {
+  return ompmca::env_bool("OMPMCA_LINT_LISTED").value_or(false) ||
+         ompmca::env_string("OMPMCA_LINT_UNLISTED").has_value();
+}
 
 }  // namespace lint_fixture

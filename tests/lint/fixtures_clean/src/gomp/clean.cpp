@@ -4,6 +4,7 @@
 
 #include "check/check.hpp"
 #include "common/annotations.hpp"
+#include "common/env.hpp"
 #include "common/status.hpp"
 #include "fault/fault.hpp"
 
@@ -34,6 +35,13 @@ inline bool waived_point() {
 inline int justified_seq_cst(std::atomic<int>& a) {
   // seq_cst: fixture — demonstrates the justification-comment form.
   return a.load(std::memory_order_seq_cst);
+}
+
+// Read through a multi-line call; README.md's knob table lists it.
+inline long listed_knob() {
+  return ompmca::env_long_clamped(
+             "OMPMCA_LINT_CLEAN_KNOB", 0, 100)
+      .value_or(0);
 }
 
 // tsa: fixture — demonstrates the opt-out justification form.

@@ -51,11 +51,13 @@ def test_seeded_tree():
         (seeded, "[hook-parity]"),   # region enter/exit mismatch
         (seeded, "[fault-parity]"),
         (seeded, "[no-tsa]"),
+        (seeded, "[env-knob]"),      # read with no README row
+        ("README.md", "[env-knob]"),  # README row nothing reads
         (gomp, "[seq-cst]"),
     ]
     for path, rule in set(expected):
         want = expected.count((path, rule))
-        got = sum(1 for l in lines if path in l and rule in l)
+        got = sum(1 for l in lines if l.startswith(path + ":") and rule in l)
         check(f"{rule}@{os.path.basename(path)}x{want}", got == want,
               f"expected {want}, linter reported {got}:\n{proc.stdout}")
     check("no-extra-findings", len(lines) == len(expected),
@@ -66,6 +68,12 @@ def test_seeded_tree():
     # The justified seq_cst control in the same file must NOT be reported.
     check("justified-seq-cst-silent",
           sum(1 for l in lines if "[seq-cst]" in l) == 1, proc.stdout)
+    # Only the unlisted read and the stale row: the listed knob is silent.
+    check("env-knob-names",
+          any("OMPMCA_LINT_UNLISTED" in l for l in lines)
+          and any("OMPMCA_LINT_STALE" in l for l in lines)
+          and not any("OMPMCA_LINT_LISTED" in l for l in lines),
+          proc.stdout)
 
 
 def test_clean_tree():

@@ -24,6 +24,11 @@ Rules (see DESIGN.md §12 for the catalog and rationale):
   no-tsa             Every OMPMCA_NO_TSA outside annotations.hpp needs a
                      `tsa:` justification comment within the 4 lines above it
                      (or on its own / the following line).
+  env-knob           Every OMPMCA_* name the scanned tree reads through
+                     env_string/env_long/env_long_clamped/env_bool/getenv has
+                     a row in README.md's "Runtime knobs" table, and every
+                     row names a variable the tree reads (the stale-row half
+                     is skipped when explicit files are linted).
 
 Exit status: 0 when clean, 1 when any violation is reported, 2 on usage
 errors.  Each violation is reported exactly once as `file:line: [rule] msg`.
@@ -284,10 +289,68 @@ def check_no_tsa(root, files, out):
                 "4 lines above (or adjacent)"))
 
 
+# --- env-knob ------------------------------------------------------------------
+
+ENV_READ_RE = re.compile(
+    r"\b(?:env_string|env_long_clamped|env_long|env_bool|getenv)\s*\(\s*"
+    r'"(OMPMCA_\w+)"')
+KNOB_NAME_RE = re.compile(r"OMPMCA_\w+")
+# Splits a markdown table row on cell separators, not on escaped `\|`.
+CELL_SPLIT_RE = re.compile(r"(?<!\\)\|")
+
+
+def readme_knob_rows(root):
+    """Maps each OMPMCA_* name in the first cell of README.md's "Runtime
+    knobs" table to its line.  Empty when there is no such table."""
+    path = os.path.join(root, "README.md")
+    if not os.path.isfile(path):
+        return {}
+    rows = {}
+    in_section = False
+    in_table = False
+    for i, line in enumerate(read_lines(path)):
+        if not in_section:
+            in_section = "Runtime knobs" in line
+            continue
+        if line.lstrip().startswith("|"):
+            in_table = True
+            cells = CELL_SPLIT_RE.split(line)
+            if len(cells) > 1:
+                for name in KNOB_NAME_RE.findall(cells[1]):
+                    rows.setdefault(name, i + 1)
+        elif in_table:
+            break
+    return rows
+
+
+def check_env_knob(root, files, out, whole_tree):
+    reads = {}  # name -> (rel, line) of its first read
+    for path in files:
+        rel = relpath(path, root)
+        # Comments out; line structure kept, so offsets map to lines.
+        code = "\n".join(l.split("//", 1)[0] for l in read_lines(path))
+        for m in ENV_READ_RE.finditer(code):
+            line = code.count("\n", 0, m.start()) + 1
+            reads.setdefault(m.group(1), (rel, line))
+    rows = readme_knob_rows(root)
+    for name in sorted(set(reads) - set(rows)):
+        rel, line = reads[name]
+        out.append(Violation(
+            rel, line, "env-knob",
+            f"{name} is read here but has no row in README.md's "
+            f"\"Runtime knobs\" table"))
+    if not whole_tree:
+        return
+    for name in sorted(set(rows) - set(reads)):
+        out.append(Violation(
+            "README.md", rows[name], "env-knob",
+            f"\"Runtime knobs\" row {name} names a variable nothing reads"))
+
+
 # --- driver --------------------------------------------------------------------
 
 ALL_RULES = ("ignored-status", "hook-parity", "fault-parity", "seq-cst",
-             "no-tsa")
+             "no-tsa", "env-knob")
 
 
 def main(argv=None):
@@ -341,6 +404,8 @@ def main(argv=None):
         check_seq_cst(root, files, out)
     if "no-tsa" in rules:
         check_no_tsa(root, files, out)
+    if "env-knob" in rules:
+        check_env_knob(root, files, out, whole_tree=not args.paths)
 
     seen = set()
     unique = []
